@@ -1,11 +1,17 @@
 #include "core/spec.h"
 
+#include <algorithm>
 #include <cctype>
 #include <climits>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 
 #include "cluster/registry.h"
@@ -25,145 +31,18 @@ bool HasPrefix(const std::string& text, const char* prefix) {
   return text.rfind(prefix, 0) == 0;
 }
 
-/// Registry membership check shared by the routing / controller keys:
-/// unknown names fail at assign time with the registered names listed,
-/// instead of aborting deep inside the run. Names must therefore be
-/// registered before specs referencing them are parsed.
+/// Registry membership check shared by the policy-name keys: unknown
+/// names fail at assign time with the registered names listed, instead of
+/// aborting deep inside the run. Names must therefore be registered before
+/// specs referencing them are parsed.
 template <typename Registry>
-bool CheckRegistered(const Registry& registry, const char* what,
-                     const std::string& name, std::string* error) {
+bool Registered(const char* what, const std::string& name,
+                std::string* error) {
+  const Registry& registry = Registry::Global();
   if (registry.Contains(name)) return true;
   *error = std::string("unknown ") + what + " '" + name + "'; registered:";
   for (const std::string& known : registry.Names()) *error += " " + known;
   return false;
-}
-
-// ------------------------------------------------------------ enum names --
-
-const char* CcSchemeName(db::CcScheme cc) {
-  switch (cc) {
-    case db::CcScheme::kOptimisticCertification:
-      return "occ";
-    case db::CcScheme::kTwoPhaseLocking:
-      return "2pl";
-  }
-  return "?";
-}
-
-bool ParseCcScheme(const std::string& name, db::CcScheme* out) {
-  if (name == "occ") {
-    *out = db::CcScheme::kOptimisticCertification;
-  } else if (name == "2pl") {
-    *out = db::CcScheme::kTwoPhaseLocking;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* ArrivalModeName(db::ArrivalMode mode) {
-  switch (mode) {
-    case db::ArrivalMode::kClosed:
-      return "closed";
-    case db::ArrivalMode::kOpen:
-      return "open";
-    case db::ArrivalMode::kExternal:
-      return "external";
-  }
-  return "?";
-}
-
-bool ParseArrivalMode(const std::string& name, db::ArrivalMode* out) {
-  if (name == "closed") {
-    *out = db::ArrivalMode::kClosed;
-  } else if (name == "open") {
-    *out = db::ArrivalMode::kOpen;
-  } else if (name == "external") {
-    *out = db::ArrivalMode::kExternal;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* DistributionName(db::ServiceDistribution distribution) {
-  switch (distribution) {
-    case db::ServiceDistribution::kExponential:
-      return "exponential";
-    case db::ServiceDistribution::kDeterministic:
-      return "deterministic";
-    case db::ServiceDistribution::kErlang2:
-      return "erlang2";
-  }
-  return "?";
-}
-
-bool ParseDistribution(const std::string& name, db::ServiceDistribution* out) {
-  if (name == "exponential") {
-    *out = db::ServiceDistribution::kExponential;
-  } else if (name == "deterministic") {
-    *out = db::ServiceDistribution::kDeterministic;
-  } else if (name == "erlang2") {
-    *out = db::ServiceDistribution::kErlang2;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool ParsePlacementKind(const std::string& name, placement::PlacementKind* out) {
-  if (name == "hash") {
-    *out = placement::PlacementKind::kHash;
-  } else if (name == "range") {
-    *out = placement::PlacementKind::kRange;
-  } else if (name == "replicated") {
-    *out = placement::PlacementKind::kReplicated;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-// --------------------------------------------------------- typed setters --
-
-bool SetDoubleField(const std::string& key, const std::string& value,
-                    double* out, std::string* error) {
-  if (!util::ParseDouble(value, out)) {
-    *error = "key '" + key + "': malformed number '" + value + "'";
-    return false;
-  }
-  return true;
-}
-
-bool SetIntField(const std::string& key, const std::string& value, int* out,
-                 std::string* error) {
-  long long parsed = 0;
-  if (!util::ParseInt(value, &parsed) || parsed < INT_MIN ||
-      parsed > INT_MAX) {
-    *error = "key '" + key + "': malformed or out-of-range integer '" +
-             value + "'";
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool SetBoolField(const std::string& key, const std::string& value, bool* out,
-                  std::string* error) {
-  if (!util::ParseBool(value, out)) {
-    *error = "key '" + key + "': expected true/false, got '" + value + "'";
-    return false;
-  }
-  return true;
-}
-
-bool SetUint64Field(const std::string& key, const std::string& value,
-                    uint64_t* out, std::string* error) {
-  if (!util::ParseUint64(value, out)) {
-    *error = "key '" + key + "': malformed unsigned integer '" + value + "'";
-    return false;
-  }
-  return true;
 }
 
 using ScheduleMap = std::map<std::string, db::Schedule>;
@@ -177,797 +56,639 @@ struct NamedSchedules {
   AvailabilityMap availabilities;
 };
 
-/// A schedule value is either a literal ("steps(...)") or a `$name`
-/// reference into the spec's [schedules] section.
-bool SetScheduleField(const std::string& key, const std::string& value,
-                      const NamedSchedules& named, db::Schedule* out,
-                      std::string* error) {
-  if (!value.empty() && value[0] == '$') {
-    const std::string name = value.substr(1);
-    auto it = named.schedules.find(name);
-    if (it == named.schedules.end()) {
-      *error = "key '" + key + "': unknown schedule reference '$" + name +
-               "' (define it in [schedules] first)";
-      return false;
-    }
-    *out = it->second;
-    return true;
-  }
-  if (!db::Schedule::Parse(value, out)) {
-    *error = "key '" + key + "': malformed schedule literal '" + value + "'";
-    return false;
-  }
+/// Resolves a `$name` value against one kind of [schedules] entry.
+template <typename T>
+bool Lookup(const std::map<std::string, T>& named, const std::string& value,
+            T* out) {
+  const auto it = named.find(value.substr(1));
+  if (it == named.end()) return false;
+  *out = it->second;
   return true;
 }
 
-/// An availability value is either an avail(...) literal or a `$name`
-/// reference to a [schedules] entry that parsed as one.
-bool SetAvailabilityField(const std::string& key, const std::string& value,
-                          const NamedSchedules& named,
-                          cluster::AvailabilitySchedule* out,
-                          std::string* error) {
-  if (!value.empty() && value[0] == '$') {
-    const std::string name = value.substr(1);
-    auto it = named.availabilities.find(name);
-    if (it == named.availabilities.end()) {
-      *error = "key '" + key + "': unknown availability reference '$" + name +
-               "' (define it in [schedules] as an avail(...) literal first)";
-      return false;
-    }
-    *out = it->second;
-    return true;
-  }
-  std::string message;
-  if (!cluster::AvailabilitySchedule::Parse(value, out, &message)) {
-    *error = "key '" + key + "': " + message;
-    return false;
-  }
-  return true;
-}
+// -------------------------------------------------------------- key table --
+//
+// Every spec key is declared once, in KeyTable's constructor: its section,
+// its key, the field it sets, the value type, the bound, and whether only
+// cluster specs may override it. ParseSpec, PrintSpec, ApplySpecOverride
+// and SpecKeys all walk that one table.
 
-// --------------------------------------------------------- key assigners --
+enum class Section {
+  kExperiment,
+  kWorkload,
+  kPlacement,
+  kElasticity,
+  kFault,
+  kNode,
+  kSchedules,  // names schedule literals; holds no table keys
+};
+constexpr int kKeySections = 6;
+const char* const kSectionNames[] = {"experiment", "workload", "placement",
+                                     "elasticity", "fault",    "node",
+                                     "schedules"};
 
-bool AssignExperimentKey(ExperimentSpec* spec, const std::string& key,
-                         const std::string& value,
-                         const NamedSchedules& named, std::string* error) {
-  if (key == "name") {
-    spec->name = value;
-    return true;
-  }
-  if (key == "cluster") return SetBoolField(key, value, &spec->cluster, error);
-  if (key == "seed") return SetUint64Field(key, value, &spec->seed, error);
-  if (key == "duration") {
-    return SetDoubleField(key, value, &spec->duration, error);
-  }
-  if (key == "warmup") return SetDoubleField(key, value, &spec->warmup, error);
-  if (key == "active_terminals") {
-    return SetScheduleField(key, value, named, &spec->active_terminals,
-                            error);
-  }
-  if (key == "arrival_rate") {
-    return SetScheduleField(key, value, named, &spec->arrival_rate, error);
-  }
-  if (key == "routing") {
-    if (!CheckRegistered(cluster::RoutingPolicyRegistry::Global(),
-                         "routing policy", value, error)) {
-      return false;
-    }
-    spec->routing = value;
-    return true;
-  }
-  if (HasPrefix(key, "routing.")) {
-    spec->routing_params.Set(key.substr(8), value);
-    return true;
-  }
-  if (key == "trace") {
-    // Empty re-disables tracing (the PrintSpec default round-trips).
-    spec->trace_path = value;
-    return true;
-  }
-  if (key == "decisions") {
-    // Empty re-disables the decision audit, like "trace".
-    spec->decisions_path = value;
-    return true;
-  }
-  if (key == "retraction") {
-    return SetBoolField(key, value, &spec->retraction, error);
-  }
-  if (key == "retraction_queue_factor") {
-    if (!SetDoubleField(key, value, &spec->retraction_queue_factor, error)) {
-      return false;
-    }
-    if (spec->retraction_queue_factor < 0.0) {
-      *error = "key 'retraction_queue_factor': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "retraction_interval") {
-    if (!SetDoubleField(key, value, &spec->retraction_interval, error)) {
-      return false;
-    }
-    if (spec->retraction_interval <= 0.0) {
-      *error = "key 'retraction_interval': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  cluster::RetryConfig* retry = &spec->retry;
-  if (key == "retry.enabled") {
-    return SetBoolField(key, value, &retry->enabled, error);
-  }
-  if (key == "retry.budget") {
-    if (!SetIntField(key, value, &retry->budget, error)) return false;
-    if (retry->budget < 0) {
-      *error = "key 'retry.budget': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "retry.backoff_base") {
-    if (!SetDoubleField(key, value, &retry->backoff_base, error)) return false;
-    if (retry->backoff_base <= 0.0) {
-      *error = "key 'retry.backoff_base': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "retry.backoff_factor") {
-    if (!SetDoubleField(key, value, &retry->backoff_factor, error)) {
-      return false;
-    }
-    if (retry->backoff_factor < 1.0) {
-      *error = "key 'retry.backoff_factor': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "retry.backoff_max") {
-    if (!SetDoubleField(key, value, &retry->backoff_max, error)) return false;
-    if (retry->backoff_max <= 0.0) {
-      *error = "key 'retry.backoff_max': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "retry.jitter") {
-    if (!SetDoubleField(key, value, &retry->jitter, error)) return false;
-    if (retry->jitter < 0.0 || retry->jitter > 1.0) {
-      *error = "key 'retry.jitter': must be in [0, 1]";
-      return false;
-    }
-    return true;
-  }
-  cluster::DegradeConfig* degrade = &spec->degrade;
-  if (key == "degrade.enabled") {
-    return SetBoolField(key, value, &degrade->enabled, error);
-  }
-  if (key == "degrade.interval") {
-    if (!SetDoubleField(key, value, &degrade->interval, error)) return false;
-    if (degrade->interval <= 0.0) {
-      *error = "key 'degrade.interval': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "degrade.shed_query") {
-    if (!SetDoubleField(key, value, &degrade->shed_query, error)) {
-      return false;
-    }
-    if (degrade->shed_query <= 0.0) {
-      *error = "key 'degrade.shed_query': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "degrade.shed_update") {
-    if (!SetDoubleField(key, value, &degrade->shed_update, error)) {
-      return false;
-    }
-    if (degrade->shed_update <= 0.0) {
-      *error = "key 'degrade.shed_update': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "degrade.restore_hysteresis") {
-    if (!SetDoubleField(key, value, &degrade->restore_hysteresis, error)) {
-      return false;
-    }
-    if (degrade->restore_hysteresis <= 0.0 ||
-        degrade->restore_hysteresis > 1.0) {
-      *error = "key 'degrade.restore_hysteresis': must be in (0, 1]";
-      return false;
-    }
-    return true;
-  }
-  *error = "unknown experiment key '" + key + "'";
-  return false;
-}
+enum class Type {
+  kDouble,
+  kInt,
+  kUint64,
+  kUint32,
+  kBool,
+  kString,
+  kSchedule,
+  kAvailability,
+  kDistribution,
+  kEnum,
+  kRegistry,
+  kParams,  // the key is a prefix; the rest of the key names the param
+  kFaults,  // each line appends one fault window
+};
+const char* const kTypeNames[] = {
+    "double", "int",          "uint64",       "uint32", "bool",
+    "string", "schedule",     "availability", "distribution",
+    "enum",   "registry",     "params",       "faults"};
 
-bool AssignFaultKey(ExperimentSpec* spec, const std::string& key,
-                    const std::string& value, std::string* error) {
-  if (key == "enabled") {
-    return SetBoolField(key, value, &spec->fault.enabled, error);
-  }
-  if (key == "inject") {
-    fault::FaultSpec parsed;
-    std::string message;
-    if (!fault::ParseFaultSpec(value, &parsed, &message)) {
-      *error = "key 'inject': " + message;
-      return false;
-    }
-    if (!CheckRegistered(fault::FaultRegistry::Global(), "fault kind",
-                         parsed.kind, error)) {
-      return false;
-    }
-    // Each inject line appends; a spec lists one fault window per line.
-    spec->fault.faults.push_back(std::move(parsed));
-    return true;
-  }
-  *error = "unknown fault key '" + key + "'";
-  return false;
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// A distribution value is always a literal; there is no named-distribution
-/// section (distributions are small enough to inline).
-bool SetDistributionField(const std::string& key, const std::string& value,
-                          workload::Distribution* out, std::string* error) {
-  if (!workload::Distribution::Parse(value, out)) {
-    *error = "key '" + key + "': malformed distribution literal '" + value +
-             "' (expected constant(v), exp(mean), lognormal(mu, sigma), or "
-             "pareto(alpha, lo, hi))";
-    return false;
-  }
-  return true;
-}
+/// The range a numeric key's value must lie in: [lo, hi], or (lo, hi] when
+/// `lo_open`. The default admits every value.
+struct Bound {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;
 
-bool AssignWorkloadKey(ExperimentSpec* spec, const std::string& key,
-                       const std::string& value, const NamedSchedules& named,
-                       std::string* error) {
-  workload::WorkloadSpec* w = &spec->workload;
-  if (key == "source") {
-    if (!CheckRegistered(workload::WorkloadRegistry::Global(),
-                         "workload source", value, error)) {
-      return false;
+  bool Admits(double value) const {
+    return (lo_open ? value > lo : value >= lo) && value <= hi;
+  }
+  /// "> 0", ">= 1", "[0, 1]" or "(0, 1]"; empty when unbounded.
+  std::string ToString() const {
+    if (hi == kInf) {
+      if (lo == -kInf) return "";
+      return (lo_open ? "> " : ">= ") + util::FormatDouble(lo);
     }
-    w->source = value;
-    return true;
+    return (lo_open ? "(" : "[") + util::FormatDouble(lo) + ", " +
+           util::FormatDouble(hi) + "]";
   }
-  if (key == "population") {
-    if (!SetUint64Field(key, value, &w->population, error)) return false;
-    if (w->population < 1) {
-      *error = "key 'population': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "session_rate") {
-    return SetScheduleField(key, value, named, &w->session_rate, error);
-  }
-  if (key == "sessions") {
-    if (!SetIntField(key, value, &w->sessions, error)) return false;
-    if (w->sessions < 1) {
-      *error = "key 'sessions': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "txns_per_session") {
-    return SetDistributionField(key, value, &w->txns_per_session, error);
-  }
-  if (key == "think_time") {
-    return SetDistributionField(key, value, &w->think_time, error);
-  }
-  if (key == "affinity") {
-    if (!SetDoubleField(key, value, &w->affinity, error)) return false;
-    if (w->affinity < 0.0 || w->affinity > 1.0) {
-      *error = "key 'affinity': must be in [0, 1]";
-      return false;
-    }
-    return true;
-  }
-  if (key == "affinity_keys") {
-    if (!SetIntField(key, value, &w->affinity_keys, error)) return false;
-    if (w->affinity_keys < 1) {
-      *error = "key 'affinity_keys': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key.find('.') != std::string::npos) {
-    // Dotted keys pass through to the source factory's ParamMap, so
-    // externally registered sources can define their own namespace
-    // (mirrors routing.* and control.*).
-    w->params.Set(key, value);
-    return true;
-  }
-  *error = "unknown workload key '" + key + "'";
-  return false;
-}
-
-bool AssignPlacementKey(ExperimentSpec* spec, const std::string& key,
-                        const std::string& value,
-                        const NamedSchedules& named, std::string* error) {
-  if (key == "enabled") {
-    return SetBoolField(key, value, &spec->placement_enabled, error);
-  }
-  if (key == "kind") {
-    if (!ParsePlacementKind(value, &spec->placement.kind)) {
-      *error = "key 'kind': expected hash/range/replicated, got '" + value +
-               "'";
-      return false;
-    }
-    return true;
-  }
-  if (key == "num_partitions") {
-    return SetIntField(key, value, &spec->placement.num_partitions, error);
-  }
-  if (key == "replication_factor") {
-    return SetIntField(key, value, &spec->placement.replication_factor, error);
-  }
-  if (key == "rebalance_interval") {
-    return SetDoubleField(key, value, &spec->placement.rebalance_interval,
-                          error);
-  }
-  if (key == "rebalance_moves") {
-    return SetIntField(key, value, &spec->placement.rebalance_moves, error);
-  }
-  db::LogicalConfig* workload = &spec->placement_workload;
-  if (key == "workload.db_size") {
-    uint64_t db_size = 0;
-    if (!SetUint64Field(key, value, &db_size, error)) return false;
-    workload->db_size = static_cast<uint32_t>(db_size);
-    return true;
-  }
-  if (key == "workload.accesses_per_txn") {
-    return SetIntField(key, value, &workload->accesses_per_txn, error);
-  }
-  if (key == "workload.query_fraction") {
-    return SetDoubleField(key, value, &workload->query_fraction, error);
-  }
-  if (key == "workload.write_fraction") {
-    return SetDoubleField(key, value, &workload->write_fraction, error);
-  }
-  if (key == "workload.resample_on_restart") {
-    return SetBoolField(key, value, &workload->resample_on_restart, error);
-  }
-  if (key == "workload.hotspot_access_prob") {
-    return SetDoubleField(key, value, &workload->hotspot_access_prob, error);
-  }
-  if (key == "workload.hotspot_size_fraction") {
-    return SetDoubleField(key, value, &workload->hotspot_size_fraction, error);
-  }
-  if (key == "dynamics.k" || key == "dynamics.query_fraction" ||
-      key == "dynamics.write_fraction") {
-    // Parse into a scratch schedule first: a malformed value must not leave
-    // the optional engaged as a side effect.
-    db::Schedule schedule;
-    if (!SetScheduleField(key, value, named, &schedule, error)) {
-      return false;
-    }
-    if (!spec->placement_dynamics.has_value()) {
-      spec->placement_dynamics = db::WorkloadDynamics{};
-    }
-    db::WorkloadDynamics* dynamics = &spec->placement_dynamics.value();
-    if (key == "dynamics.k") {
-      dynamics->k = schedule;
-    } else if (key == "dynamics.query_fraction") {
-      dynamics->query_fraction = schedule;
-    } else {
-      dynamics->write_fraction = schedule;
-    }
-    return true;
-  }
-  if (key == "remote.cpu_penalty") {
-    return SetDoubleField(key, value, &spec->remote_access.cpu_penalty, error);
-  }
-  if (key == "remote.latency") {
-    return SetDoubleField(key, value, &spec->remote_access.latency, error);
-  }
-  if (key == "remote.serve_cpu") {
-    return SetDoubleField(key, value, &spec->remote_access.serve_cpu, error);
-  }
-  *error = "unknown placement key '" + key + "'";
-  return false;
-}
-
-bool AssignElasticityKey(ExperimentSpec* spec, const std::string& key,
-                         const std::string& value, std::string* error) {
-  elasticity::ElasticityConfig* e = &spec->elasticity;
-  if (key == "enabled") return SetBoolField(key, value, &e->enabled, error);
-  if (key == "detector") return SetBoolField(key, value, &e->detector, error);
-  elasticity::HeartbeatConfig* hb = &e->heartbeat;
-  if (key == "hb.interval") {
-    if (!SetDoubleField(key, value, &hb->interval, error)) return false;
-    if (hb->interval <= 0.0) {
-      *error = "key 'hb.interval': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.timeout") {
-    if (!SetDoubleField(key, value, &hb->timeout, error)) return false;
-    if (hb->timeout <= 0.0) {
-      *error = "key 'hb.timeout': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.suspect_after") {
-    if (!SetIntField(key, value, &hb->suspect_after, error)) return false;
-    if (hb->suspect_after < 1) {
-      *error = "key 'hb.suspect_after': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.down_after") {
-    if (!SetIntField(key, value, &hb->down_after, error)) return false;
-    if (hb->down_after < 1) {
-      *error = "key 'hb.down_after': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.clear_after") {
-    if (!SetIntField(key, value, &hb->clear_after, error)) return false;
-    if (hb->clear_after < 1) {
-      *error = "key 'hb.clear_after': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.delay_base") {
-    if (!SetDoubleField(key, value, &hb->delay_base, error)) return false;
-    if (hb->delay_base < 0.0) {
-      *error = "key 'hb.delay_base': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.delay_load") {
-    if (!SetDoubleField(key, value, &hb->delay_load, error)) return false;
-    if (hb->delay_load < 0.0) {
-      *error = "key 'hb.delay_load': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.kind") {
-    if (value != "consecutive" && value != "phi") {
-      *error = "key 'hb.kind': expected consecutive/phi, got '" + value + "'";
-      return false;
-    }
-    hb->kind = value;
-    return true;
-  }
-  if (key == "hb.phi_suspect") {
-    if (!SetDoubleField(key, value, &hb->phi_suspect, error)) return false;
-    if (hb->phi_suspect <= 0.0) {
-      *error = "key 'hb.phi_suspect': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.phi_down") {
-    if (!SetDoubleField(key, value, &hb->phi_down, error)) return false;
-    if (hb->phi_down <= 0.0) {
-      *error = "key 'hb.phi_down': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.phi_window") {
-    if (!SetIntField(key, value, &hb->phi_window, error)) return false;
-    if (hb->phi_window < 1) {
-      *error = "key 'hb.phi_window': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.observers") {
-    if (!SetIntField(key, value, &hb->observers, error)) return false;
-    if (hb->observers < 1) {
-      *error = "key 'hb.observers': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.quorum") {
-    if (!SetIntField(key, value, &hb->quorum, error)) return false;
-    if (hb->quorum < 1) {
-      *error = "key 'hb.quorum': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.observer_jitter") {
-    if (!SetDoubleField(key, value, &hb->observer_jitter, error)) {
-      return false;
-    }
-    if (hb->observer_jitter < 0.0) {
-      *error = "key 'hb.observer_jitter': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.delay_source") {
-    if (value != "occupancy" && value != "response") {
-      *error = "key 'hb.delay_source': expected occupancy/response, got '" +
-               value + "'";
-      return false;
-    }
-    hb->delay_source = value;
-    return true;
-  }
-  if (key == "hb.delay_response") {
-    if (!SetDoubleField(key, value, &hb->delay_response, error)) return false;
-    if (hb->delay_response < 0.0) {
-      *error = "key 'hb.delay_response': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "scaler") {
-    if (!CheckRegistered(elasticity::AutoscalerRegistry::Global(),
-                         "autoscaler", value, error)) {
-      return false;
-    }
-    e->scaler = value;
-    return true;
-  }
-  if (key == "scaler_interval") {
-    if (!SetDoubleField(key, value, &e->scaler_interval, error)) return false;
-    if (e->scaler_interval <= 0.0) {
-      *error = "key 'scaler_interval': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "standby") {
-    if (!SetIntField(key, value, &e->standby, error)) return false;
-    if (e->standby < 0) {
-      *error = "key 'standby': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "min_live") {
-    if (!SetIntField(key, value, &e->min_live, error)) return false;
-    if (e->min_live < 1) {
-      *error = "key 'min_live': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "slow_start_initial") {
-    if (!SetDoubleField(key, value, &e->slow_start_initial, error)) {
-      return false;
-    }
-    if (e->slow_start_initial <= 0.0) {
-      *error = "key 'slow_start_initial': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "slow_start_duration") {
-    if (!SetDoubleField(key, value, &e->slow_start_duration, error)) {
-      return false;
-    }
-    if (e->slow_start_duration <= 0.0) {
-      *error = "key 'slow_start_duration': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "drain_delay") {
-    if (!SetDoubleField(key, value, &e->drain_delay, error)) return false;
-    if (e->drain_delay < 0.0) {
-      *error = "key 'drain_delay': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (HasPrefix(key, "scaler.")) {
-    // Autoscaler parameters flow through as strings, e.g. scaler.pi.kp ->
-    // scaler_params["pi.kp"]; unknown keys belong to externally registered
-    // policies and are validated by the consuming factory.
-    e->scaler_params.Set(key.substr(7), value);
-    return true;
-  }
-  *error = "unknown elasticity key '" + key + "'";
-  return false;
-}
-
-/// Parse-time-only per-node state: `count` cloning and whether the node
-/// declared its own seed (both drive the expansion pass). Null in override
-/// mode, where `count` is rejected.
-struct NodeParseState {
-  bool seed_set = false;
-  int count = 1;
 };
 
-bool AssignNodeKey(NodeSpec* node, const std::string& key,
-                   const std::string& value, const NamedSchedules& named,
-                   NodeParseState* parse_state, std::string* error) {
-  if (key == "count") {
-    if (parse_state == nullptr) {
-      *error = "'count' is only valid inside a spec file's [node] section";
-      return false;
-    }
-    if (!SetIntField(key, value, &parse_state->count, error)) return false;
-    if (parse_state->count < 1) {
-      *error = "key 'count': must be >= 1";
-      return false;
-    }
-    return true;
+constexpr Bound AtLeast(double lo) { return {lo, kInf, false}; }
+constexpr Bound Above(double lo) { return {lo, kInf, true}; }
+constexpr Bound Within(double lo, double hi) { return {lo, hi, false}; }
+constexpr Bound AboveUpTo(double lo, double hi) { return {lo, hi, true}; }
+
+/// The cluster-only phrases of ApplySpecOverride's rejection message.
+const char* const kRetraction = "retraction requires";
+const char* const kLifecycle = "node availability schedules require";
+const char* const kSources = "workload sources require";
+const char* const kElastic = "elasticity requires";
+const char* const kRobustness = "robustness features require";
+
+template <typename>
+struct Member;
+template <typename Owner, typename T>
+struct Member<T Owner::*> {
+  using OwnerType = Owner;
+  using FieldType = T;
+};
+
+/// At<&A::b, &B::c> maps an A (as void*) to the address of its b.c.
+template <auto First, auto... Rest>
+void* At(void* owner) {
+  using Owner = typename Member<decltype(First)>::OwnerType;
+  void* field = &(static_cast<Owner*>(owner)->*First);
+  if constexpr (sizeof...(Rest) == 0) {
+    return field;
+  } else {
+    return At<Rest...>(field);
   }
-  if (key == "seed") {
-    if (!SetUint64Field(key, value, &node->system.seed, error)) return false;
-    if (parse_state != nullptr) parse_state->seed_set = true;
-    return true;
+}
+
+/// Maps a section owner (ExperimentSpec or NodeSpec) to the struct a
+/// sub-table's fields live in. Reads pass `engage` false and get nullptr
+/// for an empty optional; a write engages it.
+using Mount = void* (*)(void* owner, bool engage);
+
+void* Self(void* owner, bool /*engage*/) { return owner; }
+
+template <auto... Path>
+void* Via(void* owner, bool /*engage*/) {
+  return At<Path...>(owner);
+}
+
+void* PlacementDynamics(void* owner, bool engage) {
+  std::optional<db::WorkloadDynamics>& dynamics =
+      static_cast<ExperimentSpec*>(owner)->placement_dynamics;
+  if (!dynamics.has_value()) {
+    if (!engage) return nullptr;
+    dynamics.emplace();
   }
-  if (key == "cc") {
-    if (!ParseCcScheme(value, &node->system.cc)) {
-      *error = "key 'cc': expected occ/2pl, got '" + value + "'";
-      return false;
-    }
-    return true;
+  return &*dynamics;
+}
+
+/// The field types of the plain value types, in Type order.
+using ValueTypes =
+    std::tuple<double, int, uint64_t, uint32_t, bool, std::string,
+               db::Schedule, cluster::AvailabilitySchedule,
+               workload::Distribution>;
+
+template <typename T, size_t I = 0>
+constexpr Type TypeOf() {
+  if constexpr (std::is_enum_v<T>) {
+    return Type::kEnum;
+  } else if constexpr (std::is_same_v<T, util::ParamMap>) {
+    return Type::kParams;
+  } else if constexpr (std::is_same_v<T, std::vector<fault::FaultSpec>>) {
+    return Type::kFaults;
+  } else if constexpr (std::is_same_v<T, std::tuple_element_t<I, ValueTypes>>) {
+    return static_cast<Type>(I);
+  } else {
+    return TypeOf<T, I + 1>();
   }
-  if (key == "arrivals") {
-    if (!ParseArrivalMode(value, &node->system.arrivals)) {
-      *error = "key 'arrivals': expected closed/open/external, got '" + value +
-               "'";
-      return false;
-    }
-    return true;
+}
+
+using Names = std::vector<std::string>;
+
+/// kEnum fields are C++ enums whose enumerators follow `names` in order.
+template <typename E>
+size_t EnumIndex(const void* field) {
+  return static_cast<size_t>(*static_cast<const E*>(field));
+}
+
+template <typename E>
+void SetEnum(void* field, size_t index) {
+  *static_cast<E*>(field) = static_cast<E>(index);
+}
+
+struct KeyEntry {
+  std::string key;  // within the section, mount prefix included
+  Type type = Type::kString;
+  void* (*field)(void* target) = nullptr;  // target: what `mount` returns
+  Mount mount = &Self;
+  Bound bound;
+  /// Non-null when only cluster specs may override the key: the feature
+  /// phrase of the rejection ("retraction requires").
+  const char* cluster_only = nullptr;
+  Names names;  // the accepted values of a kEnum or kString key, if listed
+  size_t (*enum_index)(const void* field) = nullptr;
+  void (*set_enum)(void* field, size_t index) = nullptr;
+  const char* what = nullptr;  // kRegistry: the registry's noun
+  bool (*registered)(const char* what, const std::string& name,
+                     std::string* error) = nullptr;
+};
+
+/// An entry for the field reached through `Path` from its sub-table's
+/// struct; the value type follows from the field's C++ type.
+template <auto... Path>
+KeyEntry Key(std::string key, Bound bound = {}) {
+  using Last =
+      std::tuple_element_t<sizeof...(Path) - 1, std::tuple<decltype(Path)...>>;
+  using T = typename Member<Last>::FieldType;
+  KeyEntry entry;
+  entry.key = std::move(key);
+  entry.type = TypeOf<T>();
+  entry.field = &At<Path...>;
+  entry.bound = bound;
+  if constexpr (std::is_enum_v<T>) {
+    entry.enum_index = &EnumIndex<T>;
+    entry.set_enum = &SetEnum<T>;
   }
-  if (key == "open_arrival_rate") {
-    return SetDoubleField(key, value, &node->system.open_arrival_rate, error);
-  }
-  if (key == "record_history") {
-    return SetBoolField(key, value, &node->system.record_history, error);
-  }
-  if (key == "telemetry.per_phase") {
-    return SetBoolField(key, value, &node->system.telemetry.per_phase, error);
+  return entry;
+}
+
+KeyEntry OneOf(KeyEntry entry, Names names) {
+  entry.names = std::move(names);
+  return entry;
+}
+
+template <typename Registry>
+KeyEntry InRegistry(KeyEntry entry, const char* what) {
+  entry.type = Type::kRegistry;
+  entry.what = what;
+  entry.registered = &Registered<Registry>;
+  return entry;
+}
+
+std::vector<KeyEntry> LogicalKeys() {
+  using L = db::LogicalConfig;
+  return {
+      Key<&L::db_size>("db_size"),
+      Key<&L::accesses_per_txn>("accesses_per_txn"),
+      Key<&L::query_fraction>("query_fraction"),
+      Key<&L::write_fraction>("write_fraction"),
+      Key<&L::resample_on_restart>("resample_on_restart"),
+      Key<&L::hotspot_access_prob>("hotspot_access_prob"),
+      Key<&L::hotspot_size_fraction>("hotspot_size_fraction"),
+  };
+}
+
+std::vector<KeyEntry> RemoteKeys() {
+  using R = db::RemoteAccessConfig;
+  return {
+      Key<&R::cpu_penalty>("cpu_penalty"),
+      Key<&R::latency>("latency"),
+      Key<&R::serve_cpu>("serve_cpu"),
+  };
+}
+
+std::vector<KeyEntry> DynamicsKeys() {
+  using D = db::WorkloadDynamics;
+  return {
+      Key<&D::k>("k"),
+      Key<&D::query_fraction>("query_fraction"),
+      Key<&D::write_fraction>("write_fraction"),
+  };
+}
+
+class KeyTable {
+ public:
+  static const KeyTable& Get() {
+    static const KeyTable table;
+    return table;
   }
 
-  db::PhysicalConfig* physical = &node->system.physical;
-  if (key == "physical.num_terminals") {
-    return SetIntField(key, value, &physical->num_terminals, error);
+  /// The section's entries in print order.
+  const std::vector<KeyEntry>& entries(Section section) const {
+    return entries_[static_cast<int>(section)];
   }
-  if (key == "physical.think_time_mean") {
-    return SetDoubleField(key, value, &physical->think_time_mean, error);
-  }
-  if (key == "physical.num_cpus") {
-    return SetIntField(key, value, &physical->num_cpus, error);
-  }
-  if (key == "physical.cpu_init_mean") {
-    return SetDoubleField(key, value, &physical->cpu_init_mean, error);
-  }
-  if (key == "physical.cpu_access_mean") {
-    return SetDoubleField(key, value, &physical->cpu_access_mean, error);
-  }
-  if (key == "physical.cpu_commit_mean") {
-    return SetDoubleField(key, value, &physical->cpu_commit_mean, error);
-  }
-  if (key == "physical.cpu_write_commit_mean") {
-    return SetDoubleField(key, value, &physical->cpu_write_commit_mean, error);
-  }
-  if (key == "physical.io_time") {
-    return SetDoubleField(key, value, &physical->io_time, error);
-  }
-  if (key == "physical.restart_delay_mean") {
-    return SetDoubleField(key, value, &physical->restart_delay_mean, error);
-  }
-  if (key == "physical.cpu_distribution") {
-    if (!ParseDistribution(value, &physical->cpu_distribution)) {
-      *error =
-          "key 'physical.cpu_distribution': expected "
-          "exponential/deterministic/erlang2, got '" +
-          value + "'";
-      return false;
+
+  /// The entry `key` addresses in `section`: an exact key, else a dotted
+  /// key under a kParams prefix. Null when no entry matches.
+  const KeyEntry* Find(Section section, const std::string& key) const {
+    const int s = static_cast<int>(section);
+    const auto it = exact_[s].find(key);
+    if (it != exact_[s].end()) return it->second;
+    if (key.find('.') == std::string::npos) return nullptr;
+    for (const KeyEntry* entry : prefixes_[s]) {
+      if (key.size() > entry->key.size() &&
+          HasPrefix(key, entry->key.c_str())) {
+        return entry;
+      }
     }
-    return true;
+    return nullptr;
   }
 
-  db::LogicalConfig* logical = &node->system.logical;
-  if (key == "logical.db_size") {
-    uint64_t db_size = 0;
-    if (!SetUint64Field(key, value, &db_size, error)) return false;
-    logical->db_size = static_cast<uint32_t>(db_size);
-    return true;
-  }
-  if (key == "logical.accesses_per_txn") {
-    return SetIntField(key, value, &logical->accesses_per_txn, error);
-  }
-  if (key == "logical.query_fraction") {
-    return SetDoubleField(key, value, &logical->query_fraction, error);
-  }
-  if (key == "logical.write_fraction") {
-    return SetDoubleField(key, value, &logical->write_fraction, error);
-  }
-  if (key == "logical.resample_on_restart") {
-    return SetBoolField(key, value, &logical->resample_on_restart, error);
-  }
-  if (key == "logical.hotspot_access_prob") {
-    return SetDoubleField(key, value, &logical->hotspot_access_prob, error);
-  }
-  if (key == "logical.hotspot_size_fraction") {
-    return SetDoubleField(key, value, &logical->hotspot_size_fraction, error);
-  }
+ private:
+  KeyTable() {
+    using S = ExperimentSpec;
+    Add(Section::kExperiment, "", &Self,
+        {
+            Key<&S::name>("name"),
+            Key<&S::cluster>("cluster"),
+            Key<&S::seed>("seed"),
+            Key<&S::duration>("duration"),
+            Key<&S::warmup>("warmup"),
+            Key<&S::active_terminals>("active_terminals"),
+            Key<&S::arrival_rate>("arrival_rate"),
+            InRegistry<cluster::RoutingPolicyRegistry>(
+                Key<&S::routing>("routing"), "routing policy"),
+            Key<&S::routing_params>("routing."),
+            Key<&S::trace_path>("trace"),
+            Key<&S::decisions_path>("decisions"),
+        });
+    Add(Section::kExperiment, "", &Self,
+        {
+            Key<&S::retraction>("retraction"),
+            Key<&S::retraction_queue_factor>("retraction_queue_factor",
+                                             AtLeast(0)),
+            Key<&S::retraction_interval>("retraction_interval", Above(0)),
+        },
+        kRetraction);
+    using Retry = cluster::RetryConfig;
+    Add(Section::kExperiment, "retry.", &Via<&S::retry>,
+        {
+            Key<&Retry::enabled>("enabled"),
+            Key<&Retry::budget>("budget", AtLeast(0)),
+            Key<&Retry::backoff_base>("backoff_base", Above(0)),
+            Key<&Retry::backoff_factor>("backoff_factor", AtLeast(1)),
+            Key<&Retry::backoff_max>("backoff_max", Above(0)),
+            Key<&Retry::jitter>("jitter", Within(0, 1)),
+        },
+        kRobustness);
+    using Degrade = cluster::DegradeConfig;
+    Add(Section::kExperiment, "degrade.", &Via<&S::degrade>,
+        {
+            Key<&Degrade::enabled>("enabled"),
+            Key<&Degrade::interval>("interval", Above(0)),
+            Key<&Degrade::shed_query>("shed_query", Above(0)),
+            Key<&Degrade::shed_update>("shed_update", Above(0)),
+            Key<&Degrade::restore_hysteresis>("restore_hysteresis",
+                                              AboveUpTo(0, 1)),
+        },
+        kRobustness);
 
-  if (key == "remote.cpu_penalty") {
-    return SetDoubleField(key, value, &node->system.remote.cpu_penalty, error);
-  }
-  if (key == "remote.latency") {
-    return SetDoubleField(key, value, &node->system.remote.latency, error);
-  }
-  if (key == "remote.serve_cpu") {
-    return SetDoubleField(key, value, &node->system.remote.serve_cpu, error);
-  }
+    // Dotted [workload] keys pass through to the source factory's
+    // ParamMap, so externally registered sources can define their own
+    // namespace (mirrors routing.* and control.*).
+    using W = workload::WorkloadSpec;
+    Add(Section::kWorkload, "", &Via<&S::workload>,
+        {
+            InRegistry<workload::WorkloadRegistry>(Key<&W::source>("source"),
+                                                   "workload source"),
+            Key<&W::population>("population", AtLeast(1)),
+            Key<&W::session_rate>("session_rate"),
+            Key<&W::sessions>("sessions", AtLeast(1)),
+            Key<&W::txns_per_session>("txns_per_session"),
+            Key<&W::think_time>("think_time"),
+            Key<&W::affinity>("affinity", Within(0, 1)),
+            Key<&W::affinity_keys>("affinity_keys", AtLeast(1)),
+            Key<&W::params>(""),
+        },
+        kSources);
 
-  if (key == "dynamics.k") {
-    return SetScheduleField(key, value, named, &node->dynamics.k, error);
-  }
-  if (key == "dynamics.query_fraction") {
-    return SetScheduleField(key, value, named,
-                            &node->dynamics.query_fraction, error);
-  }
-  if (key == "dynamics.write_fraction") {
-    return SetScheduleField(key, value, named,
-                            &node->dynamics.write_fraction, error);
-  }
-  if (key == "cpu_speed") {
-    return SetScheduleField(key, value, named, &node->cpu_speed, error);
-  }
-  if (key == "availability") {
-    return SetAvailabilityField(key, value, named, &node->availability,
-                                error);
-  }
-  if (key == "rejoin") {
-    if (!cluster::ParseRejoinPolicy(value, &node->rejoin)) {
-      *error = "key 'rejoin': expected fresh/retained, got '" + value + "'";
-      return false;
+    using P = placement::PlacementConfig;
+    Add(Section::kPlacement, "", &Self,
+        {Key<&S::placement_enabled>("enabled")});
+    Add(Section::kPlacement, "", &Via<&S::placement>,
+        {
+            OneOf(Key<&P::kind>("kind"), {"hash", "range", "replicated"}),
+            Key<&P::num_partitions>("num_partitions"),
+            Key<&P::replication_factor>("replication_factor"),
+            Key<&P::rebalance_interval>("rebalance_interval"),
+            Key<&P::rebalance_moves>("rebalance_moves"),
+        });
+    Add(Section::kPlacement, "workload.", &Via<&S::placement_workload>,
+        LogicalKeys());
+    Add(Section::kPlacement, "dynamics.", &PlacementDynamics, DynamicsKeys());
+    Add(Section::kPlacement, "remote.", &Via<&S::remote_access>, RemoteKeys());
+
+    using E = elasticity::ElasticityConfig;
+    using HB = elasticity::HeartbeatConfig;
+    Add(Section::kElasticity, "", &Via<&S::elasticity>,
+        {Key<&E::enabled>("enabled"), Key<&E::detector>("detector")},
+        kElastic);
+    Add(Section::kElasticity, "hb.", &Via<&S::elasticity, &E::heartbeat>,
+        {
+            Key<&HB::interval>("interval", Above(0)),
+            Key<&HB::timeout>("timeout", Above(0)),
+            Key<&HB::suspect_after>("suspect_after", AtLeast(1)),
+            Key<&HB::down_after>("down_after", AtLeast(1)),
+            Key<&HB::clear_after>("clear_after", AtLeast(1)),
+            Key<&HB::delay_base>("delay_base", AtLeast(0)),
+            Key<&HB::delay_load>("delay_load", AtLeast(0)),
+            OneOf(Key<&HB::kind>("kind"), {"consecutive", "phi"}),
+            Key<&HB::phi_suspect>("phi_suspect", Above(0)),
+            Key<&HB::phi_down>("phi_down", Above(0)),
+            Key<&HB::phi_window>("phi_window", AtLeast(1)),
+            Key<&HB::observers>("observers", AtLeast(1)),
+            Key<&HB::quorum>("quorum", AtLeast(1)),
+            Key<&HB::observer_jitter>("observer_jitter", AtLeast(0)),
+            OneOf(Key<&HB::delay_source>("delay_source"),
+                  {"occupancy", "response"}),
+            Key<&HB::delay_response>("delay_response", AtLeast(0)),
+        },
+        kElastic);
+    // Autoscaler parameters flow through as strings (scaler.pi.kp ->
+    // scaler_params["pi.kp"]); the consuming factory validates them.
+    Add(Section::kElasticity, "", &Via<&S::elasticity>,
+        {
+            InRegistry<elasticity::AutoscalerRegistry>(
+                Key<&E::scaler>("scaler"), "autoscaler"),
+            Key<&E::scaler_interval>("scaler_interval", Above(0)),
+            Key<&E::standby>("standby", AtLeast(0)),
+            Key<&E::min_live>("min_live", AtLeast(1)),
+            Key<&E::slow_start_initial>("slow_start_initial", Above(0)),
+            Key<&E::slow_start_duration>("slow_start_duration", Above(0)),
+            Key<&E::drain_delay>("drain_delay", AtLeast(0)),
+            Key<&E::scaler_params>("scaler."),
+        },
+        kElastic);
+
+    using F = fault::FaultConfig;
+    Add(Section::kFault, "", &Via<&S::fault>,
+        {Key<&F::enabled>("enabled"), Key<&F::faults>("inject")},
+        kRobustness);
+
+    using N = NodeSpec;
+    using Sys = db::SystemConfig;
+    Add(Section::kNode, "", &Via<&N::system>,
+        {
+            Key<&Sys::seed>("seed"),
+            OneOf(Key<&Sys::cc>("cc"), {"occ", "2pl"}),
+            OneOf(Key<&Sys::arrivals>("arrivals"),
+                  {"closed", "open", "external"}),
+            Key<&Sys::open_arrival_rate>("open_arrival_rate"),
+            Key<&Sys::record_history>("record_history"),
+            Key<&Sys::telemetry, &db::TelemetryConfig::per_phase>(
+                "telemetry.per_phase"),
+        });
+    using Phys = db::PhysicalConfig;
+    Add(Section::kNode, "physical.", &Via<&N::system, &Sys::physical>,
+        {
+            Key<&Phys::num_terminals>("num_terminals"),
+            Key<&Phys::think_time_mean>("think_time_mean"),
+            Key<&Phys::num_cpus>("num_cpus"),
+            Key<&Phys::cpu_init_mean>("cpu_init_mean"),
+            Key<&Phys::cpu_access_mean>("cpu_access_mean"),
+            Key<&Phys::cpu_commit_mean>("cpu_commit_mean"),
+            Key<&Phys::cpu_write_commit_mean>("cpu_write_commit_mean"),
+            Key<&Phys::io_time>("io_time"),
+            Key<&Phys::restart_delay_mean>("restart_delay_mean"),
+            OneOf(Key<&Phys::cpu_distribution>("cpu_distribution"),
+                  {"exponential", "deterministic", "erlang2"}),
+        });
+    Add(Section::kNode, "logical.", &Via<&N::system, &Sys::logical>,
+        LogicalKeys());
+    Add(Section::kNode, "remote.", &Via<&N::system, &Sys::remote>,
+        RemoteKeys());
+    Add(Section::kNode, "dynamics.", &Via<&N::dynamics>, DynamicsKeys());
+    Add(Section::kNode, "", &Self, {Key<&N::cpu_speed>("cpu_speed")});
+    Add(Section::kNode, "", &Self,
+        {
+            Key<&N::availability>("availability"),
+            OneOf(Key<&N::rejoin>("rejoin"), {"fresh", "retained"}),
+        },
+        kLifecycle);
+    // Any other control.* key is a controller parameter (control.pa.dither
+    // -> params["pa.dither"]), so externally registered controllers can
+    // define their own.
+    Add(Section::kNode, "control.", &Via<&N::control>,
+        {
+            InRegistry<control::ControllerRegistry>(
+                Key<&ControlSpec::controller>("controller"), "controller"),
+            Key<&ControlSpec::measurement_interval>("measurement_interval"),
+            Key<&ControlSpec::initial_limit>("initial_limit"),
+            Key<&ControlSpec::displacement>("displacement"),
+            Key<&ControlSpec::outer_tuner>("outer_tuner"),
+            Key<&ControlSpec::params>(""),
+        });
+
+    for (int s = 0; s < kKeySections; ++s) {
+      for (const KeyEntry& entry : entries_[s]) {
+        if (entry.type == Type::kParams) {
+          prefixes_[s].push_back(&entry);
+        } else {
+          ALC_CHECK(exact_[s].emplace(entry.key, &entry).second);
+        }
+      }
     }
-    return true;
   }
 
-  if (key == "control.controller") {
-    if (!CheckRegistered(control::ControllerRegistry::Global(), "controller",
-                         value, error)) {
-      return false;
+  void Add(Section section, const std::string& prefix, Mount mount,
+           std::vector<KeyEntry> keys, const char* cluster_only = nullptr) {
+    for (KeyEntry& entry : keys) {
+      entry.key = prefix + entry.key;
+      entry.mount = mount;
+      if (cluster_only != nullptr) entry.cluster_only = cluster_only;
+      entries_[static_cast<int>(section)].push_back(std::move(entry));
     }
-    node->control.controller = value;
-    return true;
-  }
-  if (key == "control.measurement_interval") {
-    return SetDoubleField(key, value, &node->control.measurement_interval,
-                          error);
-  }
-  if (key == "control.initial_limit") {
-    return SetDoubleField(key, value, &node->control.initial_limit, error);
-  }
-  if (key == "control.displacement") {
-    return SetBoolField(key, value, &node->control.displacement, error);
-  }
-  if (key == "control.outer_tuner") {
-    return SetBoolField(key, value, &node->control.outer_tuner, error);
-  }
-  if (HasPrefix(key, "control.")) {
-    // Anything else under control. is a controller parameter, e.g.
-    // control.pa.dither -> params["pa.dither"]. Unknown keys flow through
-    // so externally registered controllers can define their own.
-    node->control.params.Set(key.substr(8), value);
-    return true;
   }
 
-  *error = "unknown node key '" + key + "'";
+  std::vector<KeyEntry> entries_[kKeySections];
+  std::unordered_map<std::string, const KeyEntry*> exact_[kKeySections];
+  std::vector<const KeyEntry*> prefixes_[kKeySections];
+};
+
+std::string JoinNames(const Names& names) {
+  std::string joined;
+  for (const std::string& name : names) {
+    if (!joined.empty()) joined += "/";
+    joined += name;
+  }
+  return joined;
+}
+
+/// Parses `value` into `entry`'s field under `owner` (the ExperimentSpec,
+/// or the NodeSpec for node keys). `key` is the section-relative key the
+/// caller used. On failure sets `error` and leaves `owner` untouched.
+bool Assign(const KeyEntry& entry, const std::string& key, void* owner,
+            const std::string& value, const NamedSchedules& named,
+            std::string* error) {
+  const auto field = [&] { return entry.field(entry.mount(owner, true)); };
+  const auto fail = [&](const std::string& message) {
+    *error = "key '" + key + "': " + message;
+    return false;
+  };
+  const bool reference = !value.empty() && value[0] == '$';
+  const auto unresolved = [&](const char* kind) {
+    return std::string("unknown ") + kind + " reference '" + value +
+           "' (define it in [schedules] first)";
+  };
+  const auto store = [&](auto parsed) {
+    using T = decltype(parsed);
+    if constexpr (std::is_arithmetic_v<T>) {
+      if (!entry.bound.Admits(static_cast<double>(parsed))) {
+        return fail((entry.bound.hi == kInf ? "must be " : "must be in ") +
+                    entry.bound.ToString());
+      }
+    }
+    *static_cast<T*>(field()) = std::move(parsed);
+    return true;
+  };
+  const size_t index = static_cast<size_t>(
+      std::find(entry.names.begin(), entry.names.end(), value) -
+      entry.names.begin());
+  if (!entry.names.empty() && index == entry.names.size()) {
+    return fail("expected " + JoinNames(entry.names) + ", got '" + value +
+                "'");
+  }
+  switch (entry.type) {
+    case Type::kDouble: {
+      double parsed = 0.0;
+      if (!util::ParseDouble(value, &parsed)) {
+        return fail("malformed number '" + value + "'");
+      }
+      return store(parsed);
+    }
+    case Type::kInt: {
+      long long parsed = 0;
+      if (!util::ParseInt(value, &parsed) || parsed < INT_MIN ||
+          parsed > INT_MAX) {
+        return fail("malformed or out-of-range integer '" + value + "'");
+      }
+      return store(static_cast<int>(parsed));
+    }
+    case Type::kUint64:
+    case Type::kUint32: {
+      uint64_t parsed = 0;
+      if (!util::ParseUint64(value, &parsed) ||
+          (entry.type == Type::kUint32 && parsed > UINT32_MAX)) {
+        return fail("malformed or out-of-range unsigned integer '" + value +
+                    "'");
+      }
+      if (entry.type == Type::kUint32) {
+        return store(static_cast<uint32_t>(parsed));
+      }
+      return store(parsed);
+    }
+    case Type::kBool: {
+      bool parsed = false;
+      if (!util::ParseBool(value, &parsed)) {
+        return fail("expected true/false, got '" + value + "'");
+      }
+      return store(parsed);
+    }
+    case Type::kString:
+      return store(value);
+    case Type::kEnum:
+      entry.set_enum(field(), index);
+      return true;
+    // A schedule or availability value is a literal or a `$name` reference
+    // to a [schedules] entry of the same kind.
+    case Type::kSchedule: {
+      db::Schedule parsed;
+      if (reference) {
+        if (!Lookup(named.schedules, value, &parsed)) {
+          return fail(unresolved("schedule"));
+        }
+      } else if (!db::Schedule::Parse(value, &parsed)) {
+        return fail("malformed schedule literal '" + value + "'");
+      }
+      return store(std::move(parsed));
+    }
+    case Type::kAvailability: {
+      cluster::AvailabilitySchedule parsed;
+      std::string message;
+      if (reference) {
+        if (!Lookup(named.availabilities, value, &parsed)) {
+          return fail(unresolved("availability"));
+        }
+      } else if (!cluster::AvailabilitySchedule::Parse(value, &parsed,
+                                                       &message)) {
+        return fail(message);
+      }
+      return store(std::move(parsed));
+    }
+    case Type::kDistribution: {
+      workload::Distribution parsed;
+      if (!workload::Distribution::Parse(value, &parsed)) {
+        return fail("malformed distribution literal '" + value +
+                    "' (expected constant(v), exp(mean), lognormal(mu, "
+                    "sigma), or pareto(alpha, lo, hi))");
+      }
+      return store(parsed);
+    }
+    case Type::kRegistry:
+      if (!entry.registered(entry.what, value, error)) return false;
+      return store(value);
+    case Type::kParams:
+      static_cast<util::ParamMap*>(field())->Set(key.substr(entry.key.size()),
+                                                 value);
+      return true;
+    case Type::kFaults: {
+      fault::FaultSpec parsed;
+      std::string message;
+      if (!fault::ParseFaultSpec(value, &parsed, &message)) return fail(message);
+      if (!Registered<fault::FaultRegistry>("fault kind", parsed.kind,
+                                            error)) {
+        return false;
+      }
+      static_cast<std::vector<fault::FaultSpec>*>(field())->push_back(
+          std::move(parsed));
+      return true;
+    }
+  }
   return false;
 }
 
-// ---------------------------------------------------------------- printer --
+/// The entry `key` names in `section`; null with `error` set if none.
+const KeyEntry* FindKey(Section section, const std::string& key,
+                        std::string* error) {
+  const KeyEntry* entry = KeyTable::Get().Find(section, key);
+  if (entry == nullptr) {
+    *error = std::string("unknown ") + kSectionNames[static_cast<int>(section)] +
+             " key '" + key + "'";
+  }
+  return entry;
+}
 
 void Emit(std::string* out, const std::string& key, const std::string& value) {
   *out += key;
@@ -976,74 +697,80 @@ void Emit(std::string* out, const std::string& key, const std::string& value) {
   *out += "\n";
 }
 
-void EmitDouble(std::string* out, const std::string& key, double value) {
-  Emit(out, key, util::FormatDouble(value));
+/// Prints the section's keys of `owner` in table order.
+void PrintSection(Section section, const void* owner, std::string* out) {
+  // Printing only reads: mounts are asked not to engage, and no field is
+  // written through the pointers below.
+  void* base = const_cast<void*>(owner);
+  for (const KeyEntry& entry : KeyTable::Get().entries(section)) {
+    void* target = entry.mount(base, false);
+    if (target == nullptr) continue;  // an empty optional prints nothing
+    const void* field = entry.field(target);
+    std::string value;
+    switch (entry.type) {
+      case Type::kDouble:
+        value = util::FormatDouble(*static_cast<const double*>(field));
+        break;
+      case Type::kInt:
+        value = std::to_string(*static_cast<const int*>(field));
+        break;
+      case Type::kUint64:
+        value = std::to_string(*static_cast<const uint64_t*>(field));
+        break;
+      case Type::kUint32:
+        value = std::to_string(*static_cast<const uint32_t*>(field));
+        break;
+      case Type::kBool:
+        value = *static_cast<const bool*>(field) ? "true" : "false";
+        break;
+      case Type::kString:
+      case Type::kRegistry:
+        value = *static_cast<const std::string*>(field);
+        break;
+      case Type::kSchedule:
+        value = static_cast<const db::Schedule*>(field)->ToString();
+        break;
+      case Type::kAvailability:
+        value =
+            static_cast<const cluster::AvailabilitySchedule*>(field)->ToString();
+        break;
+      case Type::kDistribution:
+        value = static_cast<const workload::Distribution*>(field)->ToString();
+        break;
+      case Type::kEnum:
+        value = entry.names[entry.enum_index(field)];
+        break;
+      case Type::kParams:
+        for (const auto& [key, param] :
+             static_cast<const util::ParamMap*>(field)->entries()) {
+          Emit(out, entry.key + key, param);
+        }
+        continue;
+      case Type::kFaults:
+        for (const fault::FaultSpec& injected :
+             *static_cast<const std::vector<fault::FaultSpec>*>(field)) {
+          Emit(out, entry.key, injected.ToString());
+        }
+        continue;
+    }
+    Emit(out, entry.key, value);
+  }
 }
 
-void EmitInt(std::string* out, const std::string& key, long long value) {
-  Emit(out, key, std::to_string(value));
-}
+/// Parse-time-only per-node state: `count` cloning and whether the node
+/// declared its own seed (both drive the expansion pass).
+struct NodeParseState {
+  bool seed_set = false;
+  int count = 1;
+};
 
-void EmitBool(std::string* out, const std::string& key, bool value) {
-  Emit(out, key, value ? "true" : "false");
-}
-
-void EmitDynamics(std::string* out, const db::WorkloadDynamics& dynamics) {
-  Emit(out, "dynamics.k", dynamics.k.ToString());
-  Emit(out, "dynamics.query_fraction", dynamics.query_fraction.ToString());
-  Emit(out, "dynamics.write_fraction", dynamics.write_fraction.ToString());
-}
-
-void EmitNode(std::string* out, const NodeSpec& node) {
-  *out += "\n[node]\n";
-  Emit(out, "seed", std::to_string(node.system.seed));
-  Emit(out, "cc", CcSchemeName(node.system.cc));
-  Emit(out, "arrivals", ArrivalModeName(node.system.arrivals));
-  EmitDouble(out, "open_arrival_rate", node.system.open_arrival_rate);
-  EmitBool(out, "record_history", node.system.record_history);
-  EmitBool(out, "telemetry.per_phase", node.system.telemetry.per_phase);
-
-  const db::PhysicalConfig& physical = node.system.physical;
-  EmitInt(out, "physical.num_terminals", physical.num_terminals);
-  EmitDouble(out, "physical.think_time_mean", physical.think_time_mean);
-  EmitInt(out, "physical.num_cpus", physical.num_cpus);
-  EmitDouble(out, "physical.cpu_init_mean", physical.cpu_init_mean);
-  EmitDouble(out, "physical.cpu_access_mean", physical.cpu_access_mean);
-  EmitDouble(out, "physical.cpu_commit_mean", physical.cpu_commit_mean);
-  EmitDouble(out, "physical.cpu_write_commit_mean",
-             physical.cpu_write_commit_mean);
-  EmitDouble(out, "physical.io_time", physical.io_time);
-  EmitDouble(out, "physical.restart_delay_mean", physical.restart_delay_mean);
-  Emit(out, "physical.cpu_distribution",
-       DistributionName(physical.cpu_distribution));
-
-  const db::LogicalConfig& logical = node.system.logical;
-  EmitInt(out, "logical.db_size", logical.db_size);
-  EmitInt(out, "logical.accesses_per_txn", logical.accesses_per_txn);
-  EmitDouble(out, "logical.query_fraction", logical.query_fraction);
-  EmitDouble(out, "logical.write_fraction", logical.write_fraction);
-  EmitBool(out, "logical.resample_on_restart", logical.resample_on_restart);
-  EmitDouble(out, "logical.hotspot_access_prob", logical.hotspot_access_prob);
-  EmitDouble(out, "logical.hotspot_size_fraction",
-             logical.hotspot_size_fraction);
-
-  EmitDouble(out, "remote.cpu_penalty", node.system.remote.cpu_penalty);
-  EmitDouble(out, "remote.latency", node.system.remote.latency);
-  EmitDouble(out, "remote.serve_cpu", node.system.remote.serve_cpu);
-
-  EmitDynamics(out, node.dynamics);
-  Emit(out, "cpu_speed", node.cpu_speed.ToString());
-  Emit(out, "availability", node.availability.ToString());
-  Emit(out, "rejoin", cluster::RejoinPolicyName(node.rejoin));
-
-  Emit(out, "control.controller", node.control.controller);
-  EmitDouble(out, "control.measurement_interval",
-             node.control.measurement_interval);
-  EmitDouble(out, "control.initial_limit", node.control.initial_limit);
-  EmitBool(out, "control.displacement", node.control.displacement);
-  EmitBool(out, "control.outer_tuner", node.control.outer_tuner);
-  for (const auto& [key, value] : node.control.params.entries()) {
-    Emit(out, "control." + key, value);
+/// Node seeds derived from one base seed: a single node runs it directly,
+/// a fleet decorrelates it per index.
+void ReseedNodes(uint64_t base, std::vector<NodeSpec>* nodes) {
+  for (size_t i = 0; i < nodes->size(); ++i) {
+    (*nodes)[i].system.seed =
+        nodes->size() == 1 ? base
+                           : DecorrelatedNodeSeed(base, static_cast<int>(i));
   }
 }
 
@@ -1079,113 +806,14 @@ ControlSpec FromControlConfig(const ControlConfig& control) {
 std::string PrintSpec(const ExperimentSpec& spec) {
   std::string out;
   out += "# Canonical ExperimentSpec (core/spec.h); run with: alc_run <file>\n";
-  out += "[experiment]\n";
-  Emit(&out, "name", spec.name);
-  EmitBool(&out, "cluster", spec.cluster);
-  Emit(&out, "seed", std::to_string(spec.seed));
-  EmitDouble(&out, "duration", spec.duration);
-  EmitDouble(&out, "warmup", spec.warmup);
-  Emit(&out, "active_terminals", spec.active_terminals.ToString());
-  Emit(&out, "arrival_rate", spec.arrival_rate.ToString());
-  Emit(&out, "routing", spec.routing);
-  for (const auto& [key, value] : spec.routing_params.entries()) {
-    Emit(&out, "routing." + key, value);
+  for (int s = 0; s < static_cast<int>(Section::kNode); ++s) {
+    if (s > 0) out += "\n";
+    out += std::string("[") + kSectionNames[s] + "]\n";
+    PrintSection(static_cast<Section>(s), &spec, &out);
   }
-  Emit(&out, "trace", spec.trace_path);
-  Emit(&out, "decisions", spec.decisions_path);
-  EmitBool(&out, "retraction", spec.retraction);
-  EmitDouble(&out, "retraction_queue_factor", spec.retraction_queue_factor);
-  EmitDouble(&out, "retraction_interval", spec.retraction_interval);
-  EmitBool(&out, "retry.enabled", spec.retry.enabled);
-  EmitInt(&out, "retry.budget", spec.retry.budget);
-  EmitDouble(&out, "retry.backoff_base", spec.retry.backoff_base);
-  EmitDouble(&out, "retry.backoff_factor", spec.retry.backoff_factor);
-  EmitDouble(&out, "retry.backoff_max", spec.retry.backoff_max);
-  EmitDouble(&out, "retry.jitter", spec.retry.jitter);
-  EmitBool(&out, "degrade.enabled", spec.degrade.enabled);
-  EmitDouble(&out, "degrade.interval", spec.degrade.interval);
-  EmitDouble(&out, "degrade.shed_query", spec.degrade.shed_query);
-  EmitDouble(&out, "degrade.shed_update", spec.degrade.shed_update);
-  EmitDouble(&out, "degrade.restore_hysteresis",
-             spec.degrade.restore_hysteresis);
-
-  out += "\n[workload]\n";
-  Emit(&out, "source", spec.workload.source);
-  Emit(&out, "population", std::to_string(spec.workload.population));
-  Emit(&out, "session_rate", spec.workload.session_rate.ToString());
-  EmitInt(&out, "sessions", spec.workload.sessions);
-  Emit(&out, "txns_per_session", spec.workload.txns_per_session.ToString());
-  Emit(&out, "think_time", spec.workload.think_time.ToString());
-  EmitDouble(&out, "affinity", spec.workload.affinity);
-  EmitInt(&out, "affinity_keys", spec.workload.affinity_keys);
-  for (const auto& [key, value] : spec.workload.params.entries()) {
-    Emit(&out, key, value);
-  }
-
-  out += "\n[placement]\n";
-  EmitBool(&out, "enabled", spec.placement_enabled);
-  Emit(&out, "kind", placement::PlacementKindName(spec.placement.kind));
-  EmitInt(&out, "num_partitions", spec.placement.num_partitions);
-  EmitInt(&out, "replication_factor", spec.placement.replication_factor);
-  EmitDouble(&out, "rebalance_interval", spec.placement.rebalance_interval);
-  EmitInt(&out, "rebalance_moves", spec.placement.rebalance_moves);
-  const db::LogicalConfig& workload = spec.placement_workload;
-  EmitInt(&out, "workload.db_size", workload.db_size);
-  EmitInt(&out, "workload.accesses_per_txn", workload.accesses_per_txn);
-  EmitDouble(&out, "workload.query_fraction", workload.query_fraction);
-  EmitDouble(&out, "workload.write_fraction", workload.write_fraction);
-  EmitBool(&out, "workload.resample_on_restart", workload.resample_on_restart);
-  EmitDouble(&out, "workload.hotspot_access_prob",
-             workload.hotspot_access_prob);
-  EmitDouble(&out, "workload.hotspot_size_fraction",
-             workload.hotspot_size_fraction);
-  if (spec.placement_dynamics.has_value()) {
-    EmitDynamics(&out, *spec.placement_dynamics);
-  }
-  EmitDouble(&out, "remote.cpu_penalty", spec.remote_access.cpu_penalty);
-  EmitDouble(&out, "remote.latency", spec.remote_access.latency);
-  EmitDouble(&out, "remote.serve_cpu", spec.remote_access.serve_cpu);
-
-  out += "\n[elasticity]\n";
-  const elasticity::ElasticityConfig& elastic = spec.elasticity;
-  EmitBool(&out, "enabled", elastic.enabled);
-  EmitBool(&out, "detector", elastic.detector);
-  const elasticity::HeartbeatConfig& heartbeat = elastic.heartbeat;
-  EmitDouble(&out, "hb.interval", heartbeat.interval);
-  EmitDouble(&out, "hb.timeout", heartbeat.timeout);
-  EmitInt(&out, "hb.suspect_after", heartbeat.suspect_after);
-  EmitInt(&out, "hb.down_after", heartbeat.down_after);
-  EmitInt(&out, "hb.clear_after", heartbeat.clear_after);
-  EmitDouble(&out, "hb.delay_base", heartbeat.delay_base);
-  EmitDouble(&out, "hb.delay_load", heartbeat.delay_load);
-  Emit(&out, "hb.kind", heartbeat.kind);
-  EmitDouble(&out, "hb.phi_suspect", heartbeat.phi_suspect);
-  EmitDouble(&out, "hb.phi_down", heartbeat.phi_down);
-  EmitInt(&out, "hb.phi_window", heartbeat.phi_window);
-  EmitInt(&out, "hb.observers", heartbeat.observers);
-  EmitInt(&out, "hb.quorum", heartbeat.quorum);
-  EmitDouble(&out, "hb.observer_jitter", heartbeat.observer_jitter);
-  Emit(&out, "hb.delay_source", heartbeat.delay_source);
-  EmitDouble(&out, "hb.delay_response", heartbeat.delay_response);
-  Emit(&out, "scaler", elastic.scaler);
-  EmitDouble(&out, "scaler_interval", elastic.scaler_interval);
-  EmitInt(&out, "standby", elastic.standby);
-  EmitInt(&out, "min_live", elastic.min_live);
-  EmitDouble(&out, "slow_start_initial", elastic.slow_start_initial);
-  EmitDouble(&out, "slow_start_duration", elastic.slow_start_duration);
-  EmitDouble(&out, "drain_delay", elastic.drain_delay);
-  for (const auto& [key, value] : elastic.scaler_params.entries()) {
-    Emit(&out, "scaler." + key, value);
-  }
-
-  out += "\n[fault]\n";
-  EmitBool(&out, "enabled", spec.fault.enabled);
-  for (const fault::FaultSpec& injected : spec.fault.faults) {
-    Emit(&out, "inject", injected.ToString());
-  }
-
   for (const NodeSpec& node : spec.nodes) {
-    EmitNode(&out, node);
+    out += "\n[node]\n";
+    PrintSection(Section::kNode, &node, &out);
   }
   return out;
 }
@@ -1195,16 +823,6 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
   ExperimentSpec spec;
   NamedSchedules named;
   std::vector<NodeParseState> node_states;
-
-  enum class Section {
-    kExperiment,
-    kSchedules,
-    kWorkload,
-    kPlacement,
-    kElasticity,
-    kFault,
-    kNode
-  };
   Section section = Section::kExperiment;
 
   std::istringstream stream(text);
@@ -1236,24 +854,15 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
     if (line.front() == '[') {
       if (line.back() != ']') return fail("malformed section header");
       const std::string name = TrimWhitespace(line.substr(1, line.size() - 2));
-      if (name == "experiment") {
-        section = Section::kExperiment;
-      } else if (name == "schedules") {
-        section = Section::kSchedules;
-      } else if (name == "workload") {
-        section = Section::kWorkload;
-      } else if (name == "placement") {
-        section = Section::kPlacement;
-      } else if (name == "elasticity") {
-        section = Section::kElasticity;
-      } else if (name == "fault") {
-        section = Section::kFault;
-      } else if (name == "node") {
+      const auto known = std::find(std::begin(kSectionNames),
+                                   std::end(kSectionNames), name);
+      if (known == std::end(kSectionNames)) {
+        return fail("unknown section [" + name + "]");
+      }
+      section = static_cast<Section>(known - std::begin(kSectionNames));
+      if (section == Section::kNode) {
         spec.nodes.emplace_back();
         node_states.emplace_back();
-        section = Section::kNode;
-      } else {
-        return fail("unknown section [" + name + "]");
       }
       continue;
     }
@@ -1266,21 +875,16 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
 
     std::string message;
     bool ok = true;
-    switch (section) {
-      case Section::kExperiment:
-        ok = AssignExperimentKey(&spec, key, value, named, &message);
-        break;
-      case Section::kSchedules: {
-        // avail(...) literals live in the availability namespace; every
-        // other literal is a numeric schedule. One name can only mean one
-        // thing, so the maps never hold the same key.
-        if (HasPrefix(value, "avail(")) {
-          cluster::AvailabilitySchedule availability;
-          ok = cluster::AvailabilitySchedule::Parse(value, &availability,
-                                                    &message);
-          if (ok) named.availabilities[key] = availability;
-          break;
-        }
+    if (section == Section::kSchedules) {
+      // avail(...) literals live in the availability namespace; every
+      // other literal is a numeric schedule. One name can only mean one
+      // thing, so the maps never hold the same key.
+      if (HasPrefix(value, "avail(")) {
+        cluster::AvailabilitySchedule availability;
+        ok = cluster::AvailabilitySchedule::Parse(value, &availability,
+                                                  &message);
+        if (ok) named.availabilities[key] = availability;
+      } else {
         db::Schedule schedule;
         ok = db::Schedule::Parse(value, &schedule);
         if (!ok) {
@@ -1288,24 +892,22 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
         } else {
           named.schedules[key] = schedule;
         }
-        break;
       }
-      case Section::kWorkload:
-        ok = AssignWorkloadKey(&spec, key, value, named, &message);
-        break;
-      case Section::kPlacement:
-        ok = AssignPlacementKey(&spec, key, value, named, &message);
-        break;
-      case Section::kElasticity:
-        ok = AssignElasticityKey(&spec, key, value, &message);
-        break;
-      case Section::kFault:
-        ok = AssignFaultKey(&spec, key, value, &message);
-        break;
-      case Section::kNode:
-        ok = AssignNodeKey(&spec.nodes.back(), key, value, named,
-                           &node_states.back(), &message);
-        break;
+    } else if (section == Section::kNode && key == "count") {
+      long long count = 0;
+      ok = util::ParseInt(value, &count) && count >= 1 && count <= INT_MAX;
+      if (ok) {
+        node_states.back().count = static_cast<int>(count);
+      } else {
+        message = "key 'count': must be an integer >= 1, got '" + value + "'";
+      }
+    } else {
+      const bool node = section == Section::kNode;
+      const KeyEntry* entry = FindKey(section, key, &message);
+      void* owner = node ? static_cast<void*>(&spec.nodes.back()) : &spec;
+      ok = entry != nullptr &&
+           Assign(*entry, key, owner, value, named, &message);
+      if (ok && node && key == "seed") node_states.back().seed_set = true;
     }
     if (!ok) return fail(message);
   }
@@ -1344,143 +946,90 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
   }
   spec.nodes = std::move(expanded);
 
-  // Mode/fleet-shape validation here, with a message, rather than as a
-  // CHECK abort inside ToScenario/ToClusterScenario.
-  if (spec.nodes.empty()) {
-    if (error != nullptr) *error = "spec declares no [node] section";
+  if (!ValidateSpec(spec, error)) return false;
+  *out = std::move(spec);
+  return true;
+}
+
+bool ValidateSpec(const ExperimentSpec& spec, std::string* error) {
+  // The checks a per-key bound cannot make: they relate fields to each
+  // other or to the final fleet size.
+  const auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
     return false;
-  }
-  if (!spec.cluster && spec.nodes.size() != 1) {
-    if (error != nullptr) {
-      *error = "single-node mode (cluster = false) requires exactly one "
-               "node, got " +
-               std::to_string(spec.nodes.size());
-    }
-    return false;
-  }
+  };
+  const int fleet = static_cast<int>(spec.nodes.size());
+  const std::string single = " requires cluster mode (cluster = true)";
+  if (fleet == 0) return fail("spec declares no [node] section");
   if (!spec.cluster) {
+    if (fleet != 1) {
+      return fail(
+          "single-node mode (cluster = false) requires exactly one node, "
+          "got " +
+          std::to_string(fleet));
+    }
     // Lifecycle is a routed-fleet feature: the single-node closed/open
     // model has no front-end to crash away from.
     if (!spec.nodes[0].availability.always_up()) {
-      if (error != nullptr) {
-        *error = "node availability schedules require cluster mode "
-                 "(cluster = true)";
-      }
-      return false;
+      return fail(
+          "node availability schedules require cluster mode (cluster = "
+          "true)");
     }
     if (spec.retraction || spec.retraction_queue_factor > 0.0) {
-      if (error != nullptr) {
-        *error = "retraction requires cluster mode (cluster = true)";
-      }
-      return false;
+      return fail("retraction" + single);
     }
+    // The single-node model drives itself (terminals / its own open
+    // stream); workload sources feed the routed front-end only.
     if (spec.workload.source != "open") {
-      // The single-node model drives itself (terminals / its own open
-      // stream); workload sources feed the routed front-end only.
-      if (error != nullptr) {
-        *error = "workload source '" + spec.workload.source +
-                 "' requires cluster mode (cluster = true)";
-      }
-      return false;
+      return fail("workload source '" + spec.workload.source + "'" + single);
     }
-    if (spec.elasticity.enabled) {
-      // Elasticity is fleet machinery: heartbeats probe routed members and
-      // the autoscaler moves nodes in and out of the membership.
-      if (error != nullptr) {
-        *error = "elasticity requires cluster mode (cluster = true)";
-      }
-      return false;
-    }
-    if (spec.retry.enabled) {
-      if (error != nullptr) {
-        *error = "retry requires cluster mode (cluster = true)";
-      }
-      return false;
-    }
-    if (spec.degrade.enabled) {
-      if (error != nullptr) {
-        *error = "degrade requires cluster mode (cluster = true)";
-      }
-      return false;
-    }
-    if (spec.fault.enabled) {
-      if (error != nullptr) {
-        *error = "fault injection requires cluster mode (cluster = true)";
-      }
-      return false;
-    }
+    // Elasticity is fleet machinery: heartbeats probe routed members and
+    // the autoscaler moves nodes in and out of the membership.
+    if (spec.elasticity.enabled) return fail("elasticity" + single);
+    if (spec.retry.enabled) return fail("retry" + single);
+    if (spec.degrade.enabled) return fail("degrade" + single);
+    if (spec.fault.enabled) return fail("fault injection" + single);
   }
   if (spec.retry.enabled && spec.retry.backoff_max < spec.retry.backoff_base) {
-    if (error != nullptr) {
-      *error = "retry.backoff_max must be >= retry.backoff_base";
-    }
-    return false;
+    return fail("retry.backoff_max must be >= retry.backoff_base");
   }
   if (spec.degrade.enabled &&
       spec.degrade.shed_update < spec.degrade.shed_query) {
-    if (error != nullptr) {
-      *error = "degrade.shed_update must be >= degrade.shed_query";
-    }
-    return false;
+    return fail("degrade.shed_update must be >= degrade.shed_query");
   }
   for (const fault::FaultSpec& injected : spec.fault.faults) {
-    // Window and target validation a per-key validator cannot see (the
-    // node list is only final after [node] expansion).
     if (injected.start < 0.0 || injected.end <= injected.start) {
-      if (error != nullptr) {
-        *error = "fault '" + injected.ToString() +
-                 "': window must satisfy 0 <= start < end";
-      }
-      return false;
+      return fail("fault '" + injected.ToString() +
+                  "': window must satisfy 0 <= start < end");
     }
     for (int node : injected.nodes) {
-      if (node < 0 || node >= static_cast<int>(spec.nodes.size())) {
-        if (error != nullptr) {
-          *error = "fault '" + injected.ToString() + "': node " +
-                   std::to_string(node) + " out of range (fleet has " +
-                   std::to_string(spec.nodes.size()) + " nodes)";
-        }
-        return false;
+      if (node < 0 || node >= fleet) {
+        return fail("fault '" + injected.ToString() + "': node " +
+                    std::to_string(node) + " out of range (fleet has " +
+                    std::to_string(fleet) + " nodes)");
       }
     }
   }
   if (spec.elasticity.enabled) {
-    // Cross-field checks a per-key validator cannot see. Matching aborts
-    // exist at run time (HeartbeatDetector / ElasticityController CHECKs);
-    // failing here names the line instead.
-    if (spec.elasticity.heartbeat.down_after <
-        spec.elasticity.heartbeat.suspect_after) {
-      if (error != nullptr) {
-        *error = "elasticity hb.down_after must be >= hb.suspect_after";
-      }
-      return false;
+    // Matching aborts exist at run time (HeartbeatDetector /
+    // ElasticityController CHECKs); failing here names the problem.
+    const elasticity::HeartbeatConfig& heartbeat = spec.elasticity.heartbeat;
+    if (heartbeat.down_after < heartbeat.suspect_after) {
+      return fail("elasticity hb.down_after must be >= hb.suspect_after");
     }
-    if (spec.elasticity.heartbeat.phi_down <
-        spec.elasticity.heartbeat.phi_suspect) {
-      if (error != nullptr) {
-        *error = "elasticity hb.phi_down must be >= hb.phi_suspect";
-      }
-      return false;
+    if (heartbeat.phi_down < heartbeat.phi_suspect) {
+      return fail("elasticity hb.phi_down must be >= hb.phi_suspect");
     }
-    if (spec.elasticity.heartbeat.quorum >
-        spec.elasticity.heartbeat.observers) {
-      if (error != nullptr) {
-        *error = "elasticity hb.quorum must be <= hb.observers";
-      }
-      return false;
+    if (heartbeat.quorum > heartbeat.observers) {
+      return fail("elasticity hb.quorum must be <= hb.observers");
     }
-    if (spec.elasticity.standby >= static_cast<int>(spec.nodes.size())) {
-      if (error != nullptr) {
-        *error = "elasticity standby pool (" +
-                 std::to_string(spec.elasticity.standby) +
-                 ") must leave at least one live node (" +
-                 std::to_string(spec.nodes.size()) + " nodes)";
-      }
-      return false;
+    if (spec.elasticity.standby >= fleet) {
+      return fail("elasticity standby pool (" +
+                  std::to_string(spec.elasticity.standby) +
+                  ") must leave at least one live node (" +
+                  std::to_string(fleet) + " nodes)");
     }
   }
-
-  *out = std::move(spec);
   return true;
 }
 
@@ -1503,173 +1052,113 @@ bool LoadSpecFile(const std::string& path, ExperimentSpec* out,
 bool ApplySpecOverride(ExperimentSpec* spec, const std::string& key,
                        const std::string& value, std::string* error) {
   std::string message;
+  if (error == nullptr) error = &message;
   static const NamedSchedules kNoSchedules;
 
-  // Mirror ParseSpec's cluster-only validation: a lifecycle/retraction
-  // override on a single-node spec would be silently unused (ToScenario
-  // never reads those fields), so reject it with the same message a spec
-  // file would get instead of sweeping bit-identical points.
-  if (!spec->cluster) {
-    const size_t dot = key.find('.');
-    const std::string subkey =
-        dot == std::string::npos ? std::string() : key.substr(dot + 1);
-    if (key == "retraction" || key == "retraction_queue_factor") {
-      if (error != nullptr) {
-        *error = "override '" + key +
-                 "': retraction requires cluster mode (cluster = true)";
-      }
-      return false;
-    }
-    if (HasPrefix(key, "node") &&
-        (subkey == "availability" || subkey == "rejoin")) {
-      if (error != nullptr) {
-        *error = "override '" + key +
-                 "': node availability schedules require cluster mode "
-                 "(cluster = true)";
-      }
-      return false;
-    }
-    if (HasPrefix(key, "workload.")) {
-      // Single-node runs never construct a workload source; accepting the
-      // override would sweep bit-identical points.
-      if (error != nullptr) {
-        *error = "override '" + key +
-                 "': workload sources require cluster mode (cluster = true)";
-      }
-      return false;
-    }
-    if (HasPrefix(key, "elasticity.")) {
-      if (error != nullptr) {
-        *error = "override '" + key +
-                 "': elasticity requires cluster mode (cluster = true)";
-      }
-      return false;
-    }
-    if (HasPrefix(key, "retry.") || HasPrefix(key, "degrade.") ||
-        HasPrefix(key, "fault.")) {
-      if (error != nullptr) {
-        *error = "override '" + key +
-                 "': robustness features require cluster mode "
-                 "(cluster = true)";
-      }
-      return false;
+  // "<section>.<key>" for the named sections, "node.<key>" (every node) or
+  // "node<i>.<key>" (node i) for node keys, bare experiment keys otherwise.
+  Section section = Section::kExperiment;
+  std::string subkey = key;
+  for (int s = 1; s < static_cast<int>(Section::kNode); ++s) {
+    const std::string prefix = std::string(kSectionNames[s]) + ".";
+    if (HasPrefix(key, prefix.c_str())) {
+      section = static_cast<Section>(s);
+      subkey = key.substr(prefix.size());
+      break;
     }
   }
+  long long node_index = -1;  // -1: every node
+  const size_t dot = key.find('.');
+  if (section == Section::kExperiment && HasPrefix(key, "node") &&
+      dot != std::string::npos) {
+    const std::string selector = key.substr(4, dot - 4);
+    if (selector.empty() || util::ParseInt(selector, &node_index)) {
+      const long long fleet = static_cast<long long>(spec->nodes.size());
+      if (selector.empty() && fleet == 0) {
+        *error = "override '" + key + "': no nodes";
+        return false;
+      }
+      if (!selector.empty() && (node_index < 0 || node_index >= fleet)) {
+        *error = "override '" + key + "': node index out of range (" +
+                 std::to_string(fleet) + " nodes)";
+        return false;
+      }
+      section = Section::kNode;
+      subkey = key.substr(dot + 1);
+    }
+    // Otherwise not a node selector: an experiment key that starts with
+    // "node".
+  }
 
-  if (key == "seed") {
+  const KeyEntry* entry = FindKey(section, subkey, error);
+  if (entry == nullptr) return false;
+  // A cluster-only override on a single-node spec would be silently unused
+  // (ToScenario never reads those fields), so reject it instead of
+  // sweeping bit-identical points.
+  if (entry->cluster_only != nullptr && !spec->cluster) {
+    *error = "override '" + key + "': " + entry->cluster_only +
+             " cluster mode (cluster = true)";
+    return false;
+  }
+
+  if (section != Section::kNode) {
+    if (!Assign(*entry, subkey, spec, value, kNoSchedules, error)) {
+      return false;
+    }
     // Parse-time seed inheritance has already stamped every node, so an
     // experiment-seed override must re-derive the node seeds too —
     // otherwise a replication sweep ("--sweep seed=1,2,3") would rerun
-    // identical simulations. Nodes that need a pinned seed under an
-    // experiment-seed sweep can be re-pinned with a later node<i>.seed
-    // override.
-    if (!SetUint64Field(key, value, &spec->seed, error ? error : &message)) {
-      return false;
-    }
-    if (spec->nodes.size() == 1) {
-      spec->nodes[0].system.seed = spec->seed;
-    } else {
-      for (size_t i = 0; i < spec->nodes.size(); ++i) {
-        spec->nodes[i].system.seed =
-            DecorrelatedNodeSeed(spec->seed, static_cast<int>(i));
-      }
+    // identical simulations. Re-pin a node afterwards with node<i>.seed.
+    if (section == Section::kExperiment && subkey == "seed") {
+      ReseedNodes(spec->seed, &spec->nodes);
     }
     return true;
   }
-
-  if (HasPrefix(key, "placement.")) {
-    if (!AssignPlacementKey(spec, key.substr(10), value, kNoSchedules,
-                            &message)) {
-      if (error != nullptr) *error = message;
+  if (node_index >= 0) {
+    return Assign(*entry, subkey, &spec->nodes[static_cast<size_t>(node_index)],
+                  value, kNoSchedules, error);
+  }
+  for (NodeSpec& node : spec->nodes) {
+    if (!Assign(*entry, subkey, &node, value, kNoSchedules, error)) {
       return false;
     }
-    return true;
   }
-  if (HasPrefix(key, "workload.")) {
-    if (!AssignWorkloadKey(spec, key.substr(9), value, kNoSchedules,
-                           &message)) {
-      if (error != nullptr) *error = message;
-      return false;
-    }
-    return true;
-  }
-  if (HasPrefix(key, "elasticity.")) {
-    if (!AssignElasticityKey(spec, key.substr(11), value, &message)) {
-      if (error != nullptr) *error = message;
-      return false;
-    }
-    return true;
-  }
-  if (HasPrefix(key, "fault.")) {
-    if (!AssignFaultKey(spec, key.substr(6), value, &message)) {
-      if (error != nullptr) *error = message;
-      return false;
-    }
-    return true;
-  }
-  if (HasPrefix(key, "node")) {
-    // "node.<key>" applies to every node, "node<i>.<key>" to node i.
-    const size_t dot = key.find('.');
-    if (dot != std::string::npos) {
-      const std::string selector = key.substr(4, dot - 4);
-      const std::string subkey = key.substr(dot + 1);
-      if (selector.empty()) {
-        if (spec->nodes.empty()) {
-          if (error != nullptr) *error = "override '" + key + "': no nodes";
-          return false;
-        }
-        if (subkey == "seed") {
-          // Broadcasting one literal seed to the whole fleet would run
-          // every node on the same random stream; decorrelate per index
-          // like the experiment-level "seed" override. Pin one node with
-          // node<i>.seed when an exact value is wanted.
-          uint64_t base = 0;
-          if (!SetUint64Field(key, value, &base,
-                              error != nullptr ? error : &message)) {
-            return false;
-          }
-          for (size_t i = 0; i < spec->nodes.size(); ++i) {
-            spec->nodes[i].system.seed =
-                spec->nodes.size() == 1
-                    ? base
-                    : DecorrelatedNodeSeed(base, static_cast<int>(i));
-          }
-          return true;
-        }
-        for (NodeSpec& node : spec->nodes) {
-          if (!AssignNodeKey(&node, subkey, value, kNoSchedules, nullptr,
-                             &message)) {
-            if (error != nullptr) *error = message;
-            return false;
-          }
-        }
-        return true;
-      }
-      long long index = 0;
-      if (util::ParseInt(selector, &index)) {
-        if (index < 0 || index >= static_cast<long long>(spec->nodes.size())) {
-          if (error != nullptr) {
-            *error = "override '" + key + "': node index out of range (" +
-                     std::to_string(spec->nodes.size()) + " nodes)";
-          }
-          return false;
-        }
-        if (!AssignNodeKey(&spec->nodes[static_cast<size_t>(index)], subkey,
-                           value, kNoSchedules, nullptr, &message)) {
-          if (error != nullptr) *error = message;
-          return false;
-        }
-        return true;
-      }
-      // Not a node selector after all (no such key exists today, but fall
-      // through to the experiment namespace for forward compatibility).
-    }
-  }
-  if (!AssignExperimentKey(spec, key, value, kNoSchedules, &message)) {
-    if (error != nullptr) *error = message;
-    return false;
-  }
+  // Broadcasting one literal seed to the whole fleet would run every node
+  // on the same random stream; decorrelate per index like the experiment
+  // "seed" override. Pin one node with node<i>.seed for an exact value.
+  if (subkey == "seed") ReseedNodes(spec->nodes[0].system.seed, &spec->nodes);
   return true;
+}
+
+std::vector<SpecKeyInfo> SpecKeys() {
+  std::vector<SpecKeyInfo> keys;
+  for (int s = 0; s < kKeySections; ++s) {
+    for (const KeyEntry& entry :
+         KeyTable::Get().entries(static_cast<Section>(s))) {
+      SpecKeyInfo info;
+      info.section = kSectionNames[s];
+      info.key = entry.key;
+      info.type = kTypeNames[static_cast<int>(entry.type)];
+      info.cluster_only = entry.cluster_only != nullptr;
+      if (!entry.names.empty()) {
+        info.type = "enum";
+        info.bound = JoinNames(entry.names);
+      }
+      switch (entry.type) {
+        case Type::kRegistry:
+          info.bound = std::string("registered ") + entry.what;
+          break;
+        case Type::kParams:
+          info.key += entry.key.empty() ? "*.*" : "*";
+          break;
+        default:
+          if (info.bound.empty()) info.bound = entry.bound.ToString();
+          break;
+      }
+      keys.push_back(std::move(info));
+    }
+  }
+  return keys;
 }
 
 ExperimentSpec SpecFromScenario(const ScenarioConfig& scenario) {
@@ -1776,6 +1265,11 @@ ClusterScenarioConfig ToClusterScenario(const ExperimentSpec& spec) {
 }
 
 SpecRunResult RunSpec(const ExperimentSpec& spec) {
+  std::string error;
+  if (!ValidateSpec(spec, &error)) {
+    std::fprintf(stderr, "RunSpec: %s\n", error.c_str());
+    ALC_CHECK(false);
+  }
   SpecRunResult result;
   result.cluster = spec.cluster;
   // The recorder outlives the run only long enough to flush; it observes

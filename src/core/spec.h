@@ -188,10 +188,19 @@ std::string PrintSpec(const ExperimentSpec& spec);
 /// `[schedules]` section of named schedule literals referenced as `$name`,
 /// and `count = N` inside a `[node]` section to clone the node N times with
 /// decorrelated seeds (DecorrelatedNodeSeed over the node's seed if
-/// declared, else the experiment seed). On failure returns false and sets
-/// `error` to a line-numbered message, leaving `out` untouched.
+/// declared, else the experiment seed). The result must pass ValidateSpec.
+/// On failure returns false and sets `error` to a message (line-numbered
+/// for a bad line), leaving `out` untouched.
 bool ParseSpec(const std::string& text, ExperimentSpec* out,
                std::string* error);
+
+/// The whole-spec checks no single key can make: fleet shape and mode
+/// (single-node specs use no cluster feature), fault windows and target
+/// nodes, and the cross-field heartbeat, standby, retry and degrade rules.
+/// ParseSpec runs it; so must every caller that ends an ApplySpecOverride
+/// chain, once, after the last override. False with `error` set on the
+/// first rule broken.
+bool ValidateSpec(const ExperimentSpec& spec, std::string* error);
 
 /// Scalar fields, schedule literals, enum names, and controller/routing
 /// *names* are all validated here; controller/routing *param values*
@@ -210,13 +219,34 @@ bool LoadSpecFile(const std::string& path, ExperimentSpec* out,
 /// "arrival_rate", "routing.threshold.min_threshold"), placement keys with
 /// a "placement." prefix, node keys with "node." (all nodes) or "node<i>."
 /// (node i alone), e.g. "node.control.controller" or
-/// "node0.physical.num_cpus". Overriding "seed" re-derives every node's
+/// "node0.physical.num_cpus"; likewise "workload.", "elasticity." and
+/// "fault." for those sections. Overriding "seed" re-derives every node's
 /// seed from the new value (directly for one node, DecorrelatedNodeSeed
 /// per index otherwise), so a seed sweep is a replication sweep; pin a
-/// node afterwards with "node<i>.seed" if needed. Controller and routing
-/// names are validated against the registries at override time.
+/// node afterwards with "node<i>.seed" if needed. The value is checked
+/// against the key's type and bound, names against the registries, and
+/// cluster-only keys are rejected on single-node specs; a failed override
+/// leaves the spec unchanged. Whole-spec rules are not checked here: call
+/// ValidateSpec at the end of the chain.
 bool ApplySpecOverride(ExperimentSpec* spec, const std::string& key,
                        const std::string& value, std::string* error);
+
+/// One key of the table that drives ParseSpec, PrintSpec and
+/// ApplySpecOverride, listed by `alc_run --help`.
+struct SpecKeyInfo {
+  std::string section;  // "experiment", "workload", ..., "node"
+  /// The key within its section; a passthrough to a parameter map ends in
+  /// "*" ("control.*"), and "*.*" stands for any dotted key.
+  std::string key;
+  std::string type;  // "double", "int", "uint32", "enum", "schedule", ...
+  /// Numeric range ("> 0", "[0, 1]"), enum names ("occ/2pl") or the
+  /// registry a name must be in; empty when the type is the only rule.
+  std::string bound;
+  bool cluster_only = false;  // rejected as an override on single-node specs
+};
+
+/// Every spec key, by section in PrintSpec order.
+std::vector<SpecKeyInfo> SpecKeys();
 
 /// Struct conversions. The Spec* functions embed the legacy configs'
 /// typed controller/routing structs as canonical params, so the resulting
@@ -262,7 +292,8 @@ struct SpecRunResult {
 };
 
 /// Runs the spec through Experiment or ClusterExperiment as its mode
-/// demands. Deterministic given the spec.
+/// demands. Deterministic given the spec. Aborts if the spec fails
+/// ValidateSpec.
 SpecRunResult RunSpec(const ExperimentSpec& spec);
 
 }  // namespace alc::core

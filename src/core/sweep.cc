@@ -24,12 +24,13 @@ int SweepRunner::num_points() const {
   return points;
 }
 
-ExperimentSpec SweepRunner::SpecAt(
-    int index,
-    std::vector<std::pair<std::string, std::string>>* assignment) const {
+bool SweepRunner::BuildPoint(
+    int index, ExperimentSpec* spec,
+    std::vector<std::pair<std::string, std::string>>* assignment,
+    std::string* error) const {
   ALC_CHECK_GE(index, 0);
   ALC_CHECK_LT(index, num_points());
-  if (assignment != nullptr) assignment->clear();
+  assignment->clear();
 
   // Row-major decomposition: the last axis varies fastest.
   std::vector<int> digits(axes_.size(), 0);
@@ -40,19 +41,49 @@ ExperimentSpec SweepRunner::SpecAt(
     remainder /= radix;
   }
 
-  ExperimentSpec spec = base_;
+  *spec = base_;
+  std::string point;
   for (size_t axis = 0; axis < axes_.size(); ++axis) {
     const std::string& key = axes_[axis].key;
     const std::string& value = axes_[axis].values[digits[axis]];
-    std::string error;
-    if (!ApplySpecOverride(&spec, key, value, &error)) {
-      std::fprintf(stderr, "SweepRunner: %s\n", error.c_str());
-      ALC_CHECK(false);
+    assignment->emplace_back(key, value);
+    point += (axis == 0 ? "" : " ") + key + "=" + value;
+    if (!ApplySpecOverride(spec, key, value, error)) {
+      *error = key + "=" + value + ": " + *error;
+      return false;
     }
-    if (assignment != nullptr) assignment->emplace_back(key, value);
+  }
+  // The point is checked as a whole, after its last override, so the
+  // order of the axes cannot matter.
+  if (!ValidateSpec(*spec, error)) {
+    *error = point + ": " + *error;
+    return false;
+  }
+  return true;
+}
+
+ExperimentSpec SweepRunner::SpecAt(
+    int index,
+    std::vector<std::pair<std::string, std::string>>* assignment) const {
+  ExperimentSpec spec;
+  std::vector<std::pair<std::string, std::string>> local;
+  std::string error;
+  if (!BuildPoint(index, &spec, assignment != nullptr ? assignment : &local,
+                  &error)) {
+    std::fprintf(stderr, "SweepRunner: %s\n", error.c_str());
+    ALC_CHECK(false);
   }
   if (hook_) hook_(index, &spec);
   return spec;
+}
+
+bool SweepRunner::Validate(std::string* error) const {
+  ExperimentSpec spec;
+  std::vector<std::pair<std::string, std::string>> assignment;
+  for (int i = 0; i < num_points(); ++i) {
+    if (!BuildPoint(i, &spec, &assignment, error)) return false;
+  }
+  return true;
 }
 
 std::vector<SweepPointResult> SweepRunner::Run(int threads) const {

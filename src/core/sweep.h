@@ -38,18 +38,23 @@ struct SweepPointResult {
 /// carry; a bench is now base spec + axes + a table over the results.
 class SweepRunner {
  public:
-  /// Aborts (via ApplySpecOverride) on an invalid axis key at Run/SpecAt
-  /// time, not construction. An empty axis list is a 1-point sweep.
+  /// Aborts on an invalid grid point at Run/SpecAt time, not
+  /// construction; Validate checks every point up front. An empty axis
+  /// list is a 1-point sweep.
   SweepRunner(ExperimentSpec base, std::vector<SweepAxis> axes);
 
   int num_points() const;
 
   /// The spec of grid point `index` (row-major, first axis slowest) and,
   /// optionally, its (key, value) assignment. Aborts on an override that
-  /// does not apply.
+  /// does not apply or a point that fails ValidateSpec.
   ExperimentSpec SpecAt(int index,
                         std::vector<std::pair<std::string, std::string>>*
                             assignment = nullptr) const;
+
+  /// Whether every grid point's overrides apply and the resulting spec
+  /// passes ValidateSpec. On failure `error` names the first bad point.
+  bool Validate(std::string* error) const;
 
   /// Runs all points. `threads` <= 0 picks the hardware concurrency;
   /// capped at the number of points.
@@ -65,6 +70,10 @@ class SweepRunner {
   }
 
  private:
+  bool BuildPoint(int index, ExperimentSpec* spec,
+                  std::vector<std::pair<std::string, std::string>>* assignment,
+                  std::string* error) const;
+
   ExperimentSpec base_;
   std::vector<SweepAxis> axes_;
   std::function<void(int index, ExperimentSpec*)> hook_;

@@ -518,6 +518,9 @@ TEST(LifecycleSpecTest, OverridesValidateNodeIndexAndValues) {
   EXPECT_NE(error.find("require cluster mode"), std::string::npos) << error;
   EXPECT_FALSE(
       core::ApplySpecOverride(&single, "node0.rejoin", "retained", &error));
+  EXPECT_FALSE(
+      core::ApplySpecOverride(&single, "retraction_interval", "2", &error));
+  EXPECT_NE(error.find("requires cluster mode"), std::string::npos) << error;
 }
 
 // --------------------------------------- checked-in spec reproduces bench --

@@ -1,19 +1,28 @@
 // ExperimentSpec layer: schedule literals, Parse(Print(spec)) == spec
-// round trips on representative specs, parser conveniences (node cloning,
-// named schedules) and error reporting, overrides, and run-equivalence of
-// the spec path against the legacy struct path.
+// round trips on representative specs and every checked-in spec file, the
+// key table (print coverage, bounds on both the parse and the override
+// path), parser conveniences (node cloning, named schedules) and error
+// reporting, overrides and whole-spec validation of override chains, and
+// run-equivalence of the spec path against the legacy struct path.
 
 #include "core/spec.h"
 
+#include <cmath>
+#include <filesystem>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
 #include "core/export.h"
 #include "core/scenario.h"
+#include "core/sweep.h"
 #include "db/schedule.h"
+#include "util/params.h"
 
 namespace alc {
 namespace {
@@ -183,6 +192,132 @@ TEST(SpecRoundTripTest, PlacementClusterWithDynamics) {
   EXPECT_TRUE(RoundTrip(spec) == spec);
 }
 
+TEST(SpecRoundTripTest, EveryCheckedInSpecIsCanonical) {
+  std::vector<std::string> paths = {std::string(ALC_SOURCE_DIR) +
+                                    "/perfbench/workloads/paper_2pl.spec"};
+  for (const auto& file : std::filesystem::directory_iterator(
+           std::string(ALC_SOURCE_DIR) + "/specs")) {
+    if (file.path().extension() == ".spec") paths.push_back(file.path());
+  }
+  ASSERT_GE(paths.size(), 7u);
+  for (const std::string& path : paths) {
+    core::ExperimentSpec spec;
+    std::string error;
+    ASSERT_TRUE(core::LoadSpecFile(path, &spec, &error)) << error;
+    const std::string printed = core::PrintSpec(spec);
+    core::ExperimentSpec reparsed;
+    ASSERT_TRUE(core::ParseSpec(printed, &reparsed, &error)) << path << error;
+    EXPECT_TRUE(reparsed == spec) << path;
+    EXPECT_EQ(core::PrintSpec(reparsed), printed) << path;
+  }
+}
+
+// ------------------------------------------------------------ key table --
+
+/// PrintSpec output split into "section/key" -> occurrences.
+std::map<std::string, int> PrintedKeys(const std::string& text) {
+  std::map<std::string, int> keys;
+  std::istringstream stream(text);
+  std::string line;
+  std::string section;
+  while (std::getline(stream, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    if (line[0] == '[') {
+      section = line.substr(1, line.size() - 2);
+      continue;
+    }
+    ++keys[section + "/" + line.substr(0, line.find(" = "))];
+  }
+  return keys;
+}
+
+TEST(SpecKeyTableTest, EveryKeyPrintsExactlyOnce) {
+  core::ExperimentSpec spec;
+  spec.cluster = true;
+  spec.placement_dynamics = db::WorkloadDynamics{};  // printed when engaged
+  spec.nodes.resize(1);
+  std::map<std::string, int> printed = PrintedKeys(core::PrintSpec(spec));
+  for (const core::SpecKeyInfo& info : core::SpecKeys()) {
+    // Parameter passthroughs and fault windows are lists, empty here.
+    if (info.type == "params" || info.type == "faults") continue;
+    const std::string id = info.section + "/" + info.key;
+    EXPECT_EQ(printed[id], 1) << id;
+    printed.erase(id);
+  }
+  for (const auto& [id, count] : printed) {
+    ADD_FAILURE() << "printed key not in the table: " << id;
+  }
+}
+
+/// Values just outside a numeric key's bound ("> 0", ">= 1", "[0, 1]",
+/// "(0, 1]"): the excluded endpoint itself, or the nearest value beyond it
+/// (the nearest normal one beyond 0: spec numbers are never subnormal).
+std::vector<std::string> OutOfBoundValues(const core::SpecKeyInfo& info) {
+  const bool integral = info.type != "double";
+  const auto beyond = [&](double edge, double direction) {
+    if (integral) {
+      return std::to_string(static_cast<long long>(edge + direction));
+    }
+    return util::FormatDouble(
+        edge == 0.0 ? direction * std::numeric_limits<double>::min()
+                    : std::nextafter(edge, direction * HUGE_VAL));
+  };
+  const std::string& bound = info.bound;
+  if (bound[0] == '>') {
+    const bool open = bound[1] == ' ';
+    const double lo = std::stod(bound.substr(open ? 2 : 3));
+    return {open ? util::FormatDouble(lo) : beyond(lo, -1.0)};
+  }
+  const size_t comma = bound.find(',');
+  const double lo = std::stod(bound.substr(1, comma - 1));
+  const double hi = std::stod(bound.substr(comma + 2));
+  const std::string below =
+      bound[0] == '(' ? util::FormatDouble(lo) : beyond(lo, -1.0);
+  return {below, beyond(hi, 1.0)};
+}
+
+TEST(SpecKeyTableTest, BoundsRejectOnParseAndOverrideAlike) {
+  const std::string base_text = "[experiment]\ncluster = true\n[node]\n";
+  core::ExperimentSpec base;
+  std::string error;
+  ASSERT_TRUE(core::ParseSpec(base_text, &base, &error)) << error;
+  int checked = 0;
+  for (const core::SpecKeyInfo& info : core::SpecKeys()) {
+    const bool numeric = info.type == "double" || info.type == "int" ||
+                         info.type == "uint64" || info.type == "uint32";
+    if (!numeric || info.bound.empty()) continue;
+    for (const std::string& value : OutOfBoundValues(info)) {
+      const std::string line = info.key + " = " + value + "\n";
+      const std::string text =
+          info.section == "node"
+              ? base_text + line
+              : "[experiment]\ncluster = true\n[" + info.section + "]\n" +
+                    line + "[node]\n";
+      core::ExperimentSpec parsed;
+      std::string parse_error;
+      EXPECT_FALSE(core::ParseSpec(text, &parsed, &parse_error)) << line;
+
+      const std::string key =
+          (info.section == "experiment" ? "" : info.section + ".") + info.key;
+      core::ExperimentSpec overridden = base;
+      std::string override_error;
+      EXPECT_FALSE(
+          core::ApplySpecOverride(&overridden, key, value, &override_error))
+          << key << "=" << value;
+      EXPECT_TRUE(overridden == base) << key << ": failed override wrote";
+
+      EXPECT_NE(override_error.find("key '" + info.key + "': must be "),
+                std::string::npos)
+          << override_error;
+      const size_t colon = parse_error.find(": ");
+      ASSERT_NE(colon, std::string::npos) << parse_error;
+      EXPECT_EQ(parse_error.substr(colon + 2), override_error);
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 35);
+}
+
 // ------------------------------------------------- parser conveniences --
 
 TEST(SpecParseTest, NodeCountClonesWithDecorrelatedSeeds) {
@@ -256,6 +391,22 @@ TEST(SpecParseTest, RejectsOutOfRangeIntegers) {
   std::string error;
   EXPECT_FALSE(core::ParseSpec(
       "[node]\nphysical.num_cpus = 4294967300\n", &spec, &error));
+  EXPECT_NE(error.find("out-of-range"), std::string::npos) << error;
+
+  // uint32 keys must not wrap a parsed uint64 (4294967300 -> 4).
+  EXPECT_FALSE(core::ParseSpec(
+      "[node]\nlogical.db_size = 4294967300\n", &spec, &error));
+  EXPECT_NE(error.find("out-of-range"), std::string::npos) << error;
+  EXPECT_FALSE(core::ParseSpec(
+      "[placement]\nworkload.db_size = 4294967297\n[node]\n", &spec,
+      &error));
+  EXPECT_NE(error.find("out-of-range"), std::string::npos) << error;
+  ASSERT_TRUE(core::ParseSpec("[node]\n", &spec, &error)) << error;
+  EXPECT_FALSE(core::ApplySpecOverride(&spec, "node.logical.db_size",
+                                       "4294967300", &error));
+  EXPECT_NE(error.find("out-of-range"), std::string::npos) << error;
+  EXPECT_FALSE(core::ApplySpecOverride(&spec, "placement.workload.db_size",
+                                       "4294967297", &error));
   EXPECT_NE(error.find("out-of-range"), std::string::npos) << error;
 }
 
@@ -362,6 +513,70 @@ TEST(SpecOverrideTest, SeedOverrideRederivesNodeSeeds) {
   ASSERT_TRUE(core::ApplySpecOverride(&single, "seed", "6", &error));
   const uint64_t commits_b = core::RunSpec(single).single.commits;
   EXPECT_NE(commits_a, commits_b);
+}
+
+TEST(SpecOverrideTest, ChainIsValidatedAsAWhole) {
+  // Each chain applies override by override on a 2-node cluster, but its
+  // result breaks a whole-spec rule that only ValidateSpec sees. RunSpec
+  // would index past the fleet or abort in a component CHECK.
+  core::ExperimentSpec base;
+  std::string error;
+  ASSERT_TRUE(core::ParseSpec(
+      "[experiment]\ncluster = true\nduration = 2\nwarmup = 0\n"
+      "[node]\ncount = 2\n",
+      &base, &error))
+      << error;
+  const std::vector<std::pair<std::vector<std::pair<std::string, std::string>>,
+                              std::string>>
+      cases = {
+          {{{"fault.enabled", "true"},
+            {"fault.inject", "cpu-degrade(1:2; nodes=9; magnitude=0.5)"}},
+           "node 9 out of range"},
+          {{{"elasticity.enabled", "true"}, {"elasticity.hb.quorum", "3"}},
+           "hb.quorum must be <= hb.observers"},
+          {{{"elasticity.enabled", "true"},
+            {"elasticity.hb.suspect_after", "4"}},
+           "hb.down_after must be >= hb.suspect_after"},
+          {{{"elasticity.enabled", "true"}, {"elasticity.standby", "2"}},
+           "standby pool"},
+          {{{"retry.enabled", "true"}, {"retry.backoff_max", "0.001"}},
+           "retry.backoff_max must be >= retry.backoff_base"},
+          {{{"degrade.enabled", "true"}, {"degrade.shed_query", "9"}},
+           "degrade.shed_update must be >= degrade.shed_query"},
+      };
+  for (const auto& [chain, message] : cases) {
+    core::ExperimentSpec spec = base;
+    std::vector<core::SweepAxis> axes;
+    for (const auto& [key, value] : chain) {
+      ASSERT_TRUE(core::ApplySpecOverride(&spec, key, value, &error))
+          << key << ": " << error;
+      axes.push_back({key, {value}});
+    }
+    EXPECT_FALSE(core::ValidateSpec(spec, &error)) << message;
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+    // A sweep point made of the same chain fails the same check.
+    EXPECT_FALSE(core::SweepRunner(base, axes).Validate(&error)) << message;
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
+
+  // Validation runs once, at the end of the chain: an intermediate state
+  // that breaks a rule is fine when a later override repairs it.
+  core::ExperimentSpec spec = base;
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"elasticity.enabled", "true"},
+           {"elasticity.hb.quorum", "3"},
+           {"elasticity.hb.observers", "3"}}) {
+    ASSERT_TRUE(core::ApplySpecOverride(&spec, key, value, &error)) << error;
+  }
+  EXPECT_TRUE(core::ValidateSpec(spec, &error)) << error;
+
+  // RunSpec refuses an invalid spec by name instead of running it.
+  spec = base;
+  ASSERT_TRUE(core::ApplySpecOverride(
+      &spec, "fault.inject", "cpu-degrade(1:2; nodes=9; magnitude=0.5)",
+      &error));
+  EXPECT_DEATH(core::RunSpec(spec), "node 9 out of range");
 }
 
 TEST(SpecOverrideTest, UnknownPolicyNamesFailAtAssignTime) {

@@ -58,10 +58,20 @@ int Usage(const char* argv0) {
       "                          as CSV (same per-point naming under sweeps)\n"
       "  --log-level LEVEL       debug|info|warning|error|off (default\n"
       "                          warning); lines carry the simulated time\n"
-      "\nOverride keys use spec-file syntax: experiment keys bare\n"
-      "(duration, routing, arrival_rate, ...), placement.<key>,\n"
-      "node.<key> for every node or node<i>.<key> for one.\n",
+      "\nSpec keys. --set/--sweep address [experiment] keys bare, node keys\n"
+      "as node.<key> (every node) or node<i>.<key> (node i), and the other\n"
+      "sections' keys as <section>.<key>. Cluster-only keys are rejected as\n"
+      "overrides on single-node specs. Spec files also take count = N in a\n"
+      "[node] section (N clones with decorrelated seeds).\n",
       argv0);
+  const char* const row = "  %-10s  %-30s  %-12s  %-12s  %s\n";
+  std::fprintf(stderr, row, "section", "key", "type", "cluster-only",
+               "bound");
+  for (const core::SpecKeyInfo& info : core::SpecKeys()) {
+    std::fprintf(stderr, row, info.section.c_str(), info.key.c_str(),
+                 info.type.c_str(), info.cluster_only ? "yes" : "",
+                 info.bound.c_str());
+  }
   return 2;
 }
 
@@ -386,6 +396,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  if (!core::ValidateSpec(spec, &error)) {
+    std::fprintf(stderr, "alc_run: after --set: %s\n", error.c_str());
+    return 1;
+  }
 
   if (!trace_path.empty()) spec.trace_path = trace_path;
   if (!decisions_path.empty()) spec.decisions_path = decisions_path;
@@ -435,20 +449,13 @@ int main(int argc, char** argv) {
     axes.push_back(std::move(seed_axis));
   }
 
-  // Pre-validate every axis key/value with a clean error before any
-  // simulation runs; SweepRunner itself aborts on a bad override.
-  for (const core::SweepAxis& axis : axes) {
-    for (const std::string& value : axis.values) {
-      core::ExperimentSpec scratch = spec;
-      if (!core::ApplySpecOverride(&scratch, axis.key, value, &error)) {
-        std::fprintf(stderr, "alc_run: --sweep %s=%s: %s\n", axis.key.c_str(),
-                     value.c_str(), error.c_str());
-        return 1;
-      }
-    }
-  }
-
+  // Validate every full grid point with a clean error before any
+  // simulation runs; SweepRunner itself aborts on a bad point.
   core::SweepRunner runner(spec, axes);
+  if (!runner.Validate(&error)) {
+    std::fprintf(stderr, "alc_run: --sweep %s\n", error.c_str());
+    return 1;
+  }
   // Per-point artifact files: every grid point writes its own trace /
   // decision CSV as <stem>.<cell>.<rep><ext> (cell = logical sweep point,
   // rep = repetition index), so parallel points never race on one path.

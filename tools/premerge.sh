@@ -3,7 +3,9 @@
 # locally in one command. Mirrors the CI release leg:
 #
 #   1. configure + build (Release unless BUILD_DIR is already configured)
-#   2. the full ctest tier-1 suite
+#   2. the full ctest tier-1 suite, then the spec canon: every checked-in
+#      spec re-prints byte-identically from its own --print output, and an
+#      override chain aimed past the fleet is refused
 #   3. the alc_compare golden-manifest gates (node_failover + smoke +
 #      cluster_routing_flash): fresh runs of the checked-in specs must
 #      match the committed manifests bit-for-bit on the comparable
@@ -34,6 +36,20 @@ cmake --build "$BUILD_DIR" -j
 
 echo "== tier-1 tests"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j)
+
+echo "== spec canon"
+for spec in specs/*.spec; do
+  "./$BUILD_DIR/tools/alc_run" "$spec" --print > "$OUT_DIR/canon-a.spec"
+  "./$BUILD_DIR/tools/alc_run" "$OUT_DIR/canon-a.spec" --print \
+    > "$OUT_DIR/canon-b.spec"
+  cmp "$OUT_DIR/canon-a.spec" "$OUT_DIR/canon-b.spec"
+done
+if "./$BUILD_DIR/tools/alc_run" specs/smoke.spec --set fault.enabled=true \
+  --set 'fault.inject=cpu-degrade(1:2; nodes=9; magnitude=0.5)' \
+  --print >/dev/null 2>&1; then
+  echo "premerge: alc_run accepted a fault aimed past the fleet" >&2
+  exit 1
+fi
 
 echo "== golden gate: node_failover"
 "./$BUILD_DIR/tools/alc_run" specs/node_failover.spec \
