@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "bench/common.h"
+#include "control/registry.h"
 #include "core/report.h"
 #include "util/strformat.h"
 #include "util/table.h"
@@ -19,14 +20,15 @@ struct RowResult {
   double capture;
 };
 
-RowResult RunIs(const alc::core::ScenarioConfig& base,
+/// Runs IS on `base` with the one parameter `key` (e.g. "is.beta") set.
+RowResult RunIs(const alc::core::ExperimentSpec& base,
                 const std::vector<alc::core::OptimumRegime>& timeline,
-                alc::control::IsConfig is) {
-  alc::core::ScenarioConfig scenario = base;
-  scenario.control.name = "incremental-steps";
-  scenario.control.is = is;
+                const char* key, double value) {
+  alc::core::ExperimentSpec spec = base;
+  spec.nodes[0].control.controller = "incremental-steps";
+  spec.nodes[0].control.params.SetDouble(key, value);
   const alc::core::ExperimentResult result =
-      alc::core::Experiment(scenario).Run();
+      alc::core::Experiment(spec).Run();
   alc::core::TrackingOptions options;
   options.skip_initial = 100.0;
   const alc::core::TrackingStats stats =
@@ -43,18 +45,17 @@ int main() {
       "Section 4.1: IS parameter sensitivity (beta, gamma, delta)",
       "the parameters must be tuned carefully (section 5)");
 
-  core::ScenarioConfig base = bench::JumpScenario();
+  core::ExperimentSpec base = bench::JumpSpec();
   base.duration = 700.0;
   core::OptimumFinder finder(base, bench::FastSearch());
   const auto timeline = finder.Timeline(700.0);
-  const control::IsConfig defaults = base.control.is;
+  const control::IsConfig defaults =
+      control::IsFromParams(base.nodes[0].control.params);
 
   {
     util::Table table({"beta", "mean |n*-opt|", "throughput", "capture"});
     for (double beta : {0.25, 0.5, 1.0, 2.0, 4.0, 8.0}) {
-      control::IsConfig is = defaults;
-      is.beta = beta;
-      const RowResult row = RunIs(base, timeline, is);
+      const RowResult row = RunIs(base, timeline, "is.beta", beta);
       table.AddRow({util::StrFormat("%.2f", beta),
                     util::StrFormat("%.1f", row.tracking_error),
                     util::StrFormat("%.1f", row.throughput),
@@ -67,9 +68,7 @@ int main() {
   {
     util::Table table({"gamma", "mean |n*-opt|", "throughput", "capture"});
     for (double gamma : {2.0, 5.0, 10.0, 20.0, 40.0}) {
-      control::IsConfig is = defaults;
-      is.gamma = gamma;
-      const RowResult row = RunIs(base, timeline, is);
+      const RowResult row = RunIs(base, timeline, "is.gamma", gamma);
       table.AddRow({util::StrFormat("%.0f", gamma),
                     util::StrFormat("%.1f", row.tracking_error),
                     util::StrFormat("%.1f", row.throughput),
@@ -82,9 +81,7 @@ int main() {
   {
     util::Table table({"delta", "mean |n*-opt|", "throughput", "capture"});
     for (double delta : {5.0, 10.0, 25.0, 50.0, 100.0}) {
-      control::IsConfig is = defaults;
-      is.delta = delta;
-      const RowResult row = RunIs(base, timeline, is);
+      const RowResult row = RunIs(base, timeline, "is.delta", delta);
       table.AddRow({util::StrFormat("%.0f", delta),
                     util::StrFormat("%.1f", row.tracking_error),
                     util::StrFormat("%.1f", row.throughput),

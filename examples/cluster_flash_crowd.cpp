@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
 #include "core/export.h"
+#include "core/spec.h"
 #include "util/strformat.h"
 #include "util/table.h"
 
@@ -20,33 +20,36 @@ int main() {
   using namespace alc;
 
   // One downscaled node: 4 CPUs, 600-granule database, thrashing knee near
-  // n=25, peak ~150 commits/s.
-  core::ScenarioConfig base = core::DefaultScenario();
-  base.system.physical.num_cpus = 4;
-  base.system.physical.cpu_init_mean = 0.001;
-  base.system.physical.cpu_access_mean = 0.001;
-  base.system.physical.cpu_commit_mean = 0.001;
-  base.system.physical.cpu_write_commit_mean = 0.004;
-  base.system.physical.io_time = 0.008;
-  base.system.physical.restart_delay_mean = 0.02;
-  base.system.logical.db_size = 600;
-  base.system.logical.accesses_per_txn = 8;
-  base.system.logical.write_fraction = 0.4;
-  base.system.seed = 42;
-  base.dynamics = db::WorkloadDynamics::FromConfig(base.system.logical);
-  base.control.measurement_interval = 0.5;
-  base.control.initial_limit = 20.0;
-  base.control.pa.initial_bound = 20.0;
-  base.control.pa.min_bound = 2.0;
-  base.control.pa.max_bound = 200.0;
-  base.control.pa.dither = 5.0;
-  // The "statically tuned" limit: fine for the normal 320/s, deep in
-  // thrashing territory once the crowd arrives.
-  base.control.fixed_limit = 150.0;
-  base.duration = 200.0;
-  base.warmup = 20.0;
+  // n=25, peak ~150 commits/s. The "statically tuned" fixed limit is fine
+  // for the normal 320/s and deep in thrashing territory once the crowd
+  // arrives.
+  const core::ExperimentSpec base = core::ParseSpecOrDie(
+      "[experiment]\n"
+      "seed = 42\n"
+      "duration = 200\n"
+      "warmup = 20\n"
+      "[node]\n"
+      "physical.num_cpus = 4\n"
+      "physical.cpu_init_mean = 0.001\n"
+      "physical.cpu_access_mean = 0.001\n"
+      "physical.cpu_commit_mean = 0.001\n"
+      "physical.cpu_write_commit_mean = 0.004\n"
+      "physical.io_time = 0.008\n"
+      "physical.restart_delay_mean = 0.02\n"
+      "logical.db_size = 600\n"
+      "logical.accesses_per_txn = 8\n"
+      "logical.write_fraction = 0.4\n"
+      "dynamics.k = constant(8)\n"
+      "dynamics.write_fraction = constant(0.4)\n"
+      "control.measurement_interval = 0.5\n"
+      "control.initial_limit = 20\n"
+      "control.pa.initial_bound = 20\n"
+      "control.pa.min_bound = 2\n"
+      "control.pa.max_bound = 200\n"
+      "control.pa.dither = 5\n"
+      "control.fixed.limit = 150\n");
 
-  core::ClusterScenarioConfig cluster = core::UniformCluster(4, base);
+  core::ExperimentSpec cluster = core::UniformCluster(4, base);
   cluster.arrival_rate = core::FlashCrowdSchedule(320.0, 900.0, 60.0, 100.0);
 
   util::Table table({"configuration", "throughput", "p-mean response",
@@ -61,10 +64,10 @@ int main() {
        {Setup{"random + fixed(150)", "random", "fixed"},
         Setup{"jsq + parabola", "join-shortest-queue",
               "parabola-approximation"}}) {
-    core::ClusterScenarioConfig run = cluster;
-    run.routing_name = setup.routing;
-    for (core::ClusterNodeScenario& node : run.nodes) {
-      node.control.name = setup.admission;
+    core::ExperimentSpec run = cluster;
+    run.routing = setup.routing;
+    for (core::NodeSpec& node : run.nodes) {
+      node.control.controller = setup.admission;
     }
     const core::ClusterResult result = core::ClusterExperiment(run).Run();
     if (std::string_view(setup.admission) == "parabola-approximation") {

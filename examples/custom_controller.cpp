@@ -1,8 +1,8 @@
 // Custom controller: the LoadController interface is the extension point,
 // and control::ControllerRegistry is the plug socket — register a factory
 // under a name and the controller becomes selectable everywhere a built-in
-// is: ScenarioConfig, ExperimentSpec, spec files, sweep axes. No core
-// edits, no manual monitor/gate wiring.
+// is: ExperimentSpec, spec files, sweep axes. No core edits, no manual
+// monitor/gate wiring.
 //
 // The example controller is TCP-style AIMD on the conflict rate: additive
 // increase while conflicts are low, multiplicative decrease when they
@@ -54,15 +54,14 @@ class AimdController : public control::LoadController {
 /// Runs the canonical scenario with the named controller through the
 /// standard spec path; returns post-warmup committed throughput.
 core::SpecRunResult RunNamed(const std::string& controller, uint64_t seed) {
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.system.seed = seed;
-  scenario.duration = 300.0;
-  scenario.warmup = 60.0;
-
-  core::ExperimentSpec spec = core::SpecFromScenario(scenario);
-  spec.name = "custom-controller-demo";
-  spec.nodes[0].control.controller = controller;
-  return core::RunSpec(spec);
+  return core::RunSpec(core::ParseSpecOrDie(
+      "[experiment]\n"
+      "name = custom-controller-demo\n"
+      "seed = " + std::to_string(seed) + "\n"
+      "duration = 300\n"
+      "warmup = 60\n"
+      "[node]\n"
+      "control.controller = " + controller + "\n"));
 }
 
 }  // namespace

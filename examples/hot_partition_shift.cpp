@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
 #include "core/export.h"
+#include "core/spec.h"
 #include "placement/catalog.h"
 #include "util/strformat.h"
 #include "util/table.h"
@@ -31,39 +31,43 @@ int main() {
   constexpr uint32_t kDbSize = 9600;
 
   // One downscaled node: 4 CPUs, thrashing knee near n=25.
-  core::ScenarioConfig base = core::DefaultScenario();
-  base.system.physical.num_cpus = 4;
-  base.system.physical.cpu_init_mean = 0.001;
-  base.system.physical.cpu_access_mean = 0.001;
-  base.system.physical.cpu_commit_mean = 0.001;
-  base.system.physical.cpu_write_commit_mean = 0.004;
-  base.system.physical.io_time = 0.008;
-  base.system.physical.restart_delay_mean = 0.02;
-  base.system.logical.db_size = kDbSize;
-  base.system.logical.accesses_per_txn = 8;
-  base.system.logical.query_fraction = 0.5;
-  base.system.logical.write_fraction = 0.1;
-  base.system.seed = 7;
-  base.dynamics = db::WorkloadDynamics::FromConfig(base.system.logical);
-  base.control.name = "parabola-approximation";
-  base.control.measurement_interval = 0.5;
-  base.control.initial_limit = 20.0;
-  base.control.pa.initial_bound = 20.0;
-  base.control.pa.min_bound = 2.0;
-  base.control.pa.max_bound = 200.0;
-  base.control.pa.dither = 5.0;
-  base.duration = 150.0;
-  base.warmup = 20.0;
+  const core::ExperimentSpec base = core::ParseSpecOrDie(
+      "[experiment]\n"
+      "seed = 7\n"
+      "duration = 150\n"
+      "warmup = 20\n"
+      "[node]\n"
+      "physical.num_cpus = 4\n"
+      "physical.cpu_init_mean = 0.001\n"
+      "physical.cpu_access_mean = 0.001\n"
+      "physical.cpu_commit_mean = 0.001\n"
+      "physical.cpu_write_commit_mean = 0.004\n"
+      "physical.io_time = 0.008\n"
+      "physical.restart_delay_mean = 0.02\n"
+      "logical.db_size = " + std::to_string(kDbSize) + "\n"
+      "logical.accesses_per_txn = 8\n"
+      "logical.query_fraction = 0.5\n"
+      "logical.write_fraction = 0.1\n"
+      "dynamics.k = constant(8)\n"
+      "dynamics.query_fraction = constant(0.5)\n"
+      "dynamics.write_fraction = constant(0.1)\n"
+      "control.controller = parabola-approximation\n"
+      "control.measurement_interval = 0.5\n"
+      "control.initial_limit = 20\n"
+      "control.pa.initial_bound = 20\n"
+      "control.pa.min_bound = 2\n"
+      "control.pa.max_bound = 200\n"
+      "control.pa.dither = 5\n");
 
-  core::ClusterScenarioConfig cluster = core::UniformCluster(kNumNodes, base);
-  cluster.routing_name = "locality-threshold";
+  core::ExperimentSpec cluster = core::UniformCluster(kNumNodes, base);
+  cluster.routing = "locality-threshold";
   cluster.arrival_rate = db::Schedule::Constant(450.0);
   cluster.placement_enabled = true;
-  cluster.placement.placement.kind = placement::PlacementKind::kRange;
-  cluster.placement.placement.num_partitions = kNumPartitions;
-  cluster.placement.workload = base.system.logical;
-  cluster.placement.workload.hotspot_access_prob = 0.8;
-  cluster.placement.workload.hotspot_size_fraction = 1.0 / kNumPartitions;
+  cluster.placement.kind = placement::PlacementKind::kRange;
+  cluster.placement.num_partitions = kNumPartitions;
+  cluster.placement_workload = base.nodes[0].system.logical;
+  cluster.placement_workload.hotspot_access_prob = 0.8;
+  cluster.placement_workload.hotspot_size_fraction = 1.0 / kNumPartitions;
   cluster.remote_access.cpu_penalty = 0.002;
   cluster.remote_access.latency = 0.016;
   cluster.remote_access.serve_cpu = 0.001;
@@ -79,9 +83,9 @@ int main() {
   for (const Setup& setup :
        {Setup{"static placement", 0.0, 0},
         Setup{"rebalance every 15s (2 moves)", 15.0, 2}}) {
-    core::ClusterScenarioConfig run = cluster;
-    run.placement.placement.rebalance_interval = setup.rebalance_interval;
-    run.placement.placement.rebalance_moves = setup.rebalance_moves;
+    core::ExperimentSpec run = cluster;
+    run.placement.rebalance_interval = setup.rebalance_interval;
+    run.placement.rebalance_moves = setup.rebalance_moves;
     const core::ClusterResult result = core::ClusterExperiment(run).Run();
     if (setup.rebalance_interval > 0.0) with_rebalance = result;
     table.AddRow({setup.label,

@@ -9,25 +9,28 @@
 
 #include "core/experiment.h"
 #include "core/report.h"
-#include "core/scenario.h"
+#include "core/spec.h"
 
 int main() {
   using namespace alc;
 
-  // 1. Describe the experiment. DefaultScenario() is the calibrated
+  // 1. Describe the experiment in spec text, the format alc_run reads
+  //    (`alc_run --help` lists every key). Omitted keys keep the calibrated
   //    paper-scale system: 850 terminals, 16 CPUs, 16k-granule database,
   //    optimistic concurrency control.
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.duration = 300.0;  // simulated seconds
-  scenario.warmup = 60.0;     // excluded from the summary statistics
+  const core::ExperimentSpec spec = core::ParseSpecOrDie(
+      "[experiment]\n"
+      "duration = 300  # simulated seconds\n"
+      "warmup = 60     # excluded from the summary statistics\n"
+      "[node]\n"
+      // 2. Pick the load-control policy: the adaptive Parabola
+      //    Approximation, cold-started far from the optimum.
+      "control.controller = parabola-approximation\n"
+      "control.measurement_interval = 1\n"
+      "control.initial_limit = 50\n");
 
-  // 2. Pick the load-control policy: the adaptive Parabola Approximation.
-  scenario.control.name = "parabola-approximation";
-  scenario.control.measurement_interval = 1.0;
-  scenario.control.initial_limit = 50.0;  // cold start far from the optimum
-
-  // 3. Run. Everything is deterministic given scenario.system.seed.
-  core::Experiment experiment(scenario);
+  // 3. Run. Everything is deterministic given the seed (default 1).
+  core::Experiment experiment(spec);
   const core::ExperimentResult result = experiment.Run();
 
   // 4. Inspect.

@@ -6,13 +6,6 @@
 
 namespace alc::cluster {
 
-void AppendThresholdParams(const ThresholdPolicy::Config& config,
-                           util::ParamMap* params) {
-  params->SetDouble("threshold.initial_threshold", config.initial_threshold);
-  params->SetDouble("threshold.min_threshold", config.min_threshold);
-  params->SetDouble("threshold.max_threshold", config.max_threshold);
-}
-
 ThresholdPolicy::Config ThresholdFromParams(const util::ParamMap& params) {
   ThresholdPolicy::Config config;
   config.initial_threshold =
@@ -22,11 +15,6 @@ ThresholdPolicy::Config ThresholdFromParams(const util::ParamMap& params) {
   config.max_threshold =
       params.GetDouble("threshold.max_threshold", config.max_threshold);
   return config;
-}
-
-void AppendPowerOfDParams(const PowerOfDPolicy::Config& config,
-                          util::ParamMap* params) {
-  params->SetInt("power-of-d.d", config.d);
 }
 
 PowerOfDPolicy::Config PowerOfDFromParams(const util::ParamMap& params) {

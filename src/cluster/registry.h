@@ -27,8 +27,8 @@ using RoutingPolicyFactory =
 
 /// String-keyed factory registry for routing policies, mirroring
 /// control::ControllerRegistry: built-ins self-register, user code can add
-/// policies by name and select them through ClusterScenarioConfig /
-/// ExperimentSpec with no core edits. Registration must finish before
+/// policies by name and select them through ExperimentSpec (`routing =
+/// <name>`) with no core edits. Registration must finish before
 /// concurrent Make() calls begin (the registry takes no locks).
 class RoutingPolicyRegistry {
  public:
@@ -53,14 +53,10 @@ class RoutingPolicyRegistry {
   std::map<std::string, RoutingPolicyFactory> factories_;
 };
 
-/// Struct <-> ParamMap serialization for the built-in policy configs; the
-/// writers emit exactly the keys the factories read.
-void AppendThresholdParams(const ThresholdPolicy::Config& config,
-                           util::ParamMap* params);
+/// ParamMap readers for the built-in policy configs: each key the
+/// factories read ("threshold.min_threshold", "power-of-d.d") overrides the
+/// struct default.
 ThresholdPolicy::Config ThresholdFromParams(const util::ParamMap& params);
-
-void AppendPowerOfDParams(const PowerOfDPolicy::Config& config,
-                          util::ParamMap* params);
 PowerOfDPolicy::Config PowerOfDFromParams(const util::ParamMap& params);
 
 }  // namespace alc::cluster

@@ -20,18 +20,6 @@ PerformanceIndex IndexParam(const util::ParamMap& params,
 
 }  // namespace
 
-const char* PerformanceIndexName(PerformanceIndex index) {
-  switch (index) {
-    case PerformanceIndex::kThroughput:
-      return "throughput";
-    case PerformanceIndex::kInverseResponseTime:
-      return "inverse-response-time";
-    case PerformanceIndex::kEffectiveCpuUtilization:
-      return "effective-cpu-utilization";
-  }
-  return "?";
-}
-
 bool ParsePerformanceIndex(std::string_view name, PerformanceIndex* out) {
   if (name == "throughput") {
     *out = PerformanceIndex::kThroughput;
@@ -43,20 +31,6 @@ bool ParsePerformanceIndex(std::string_view name, PerformanceIndex* out) {
     return false;
   }
   return true;
-}
-
-const char* PaRecoveryPolicyName(PaRecoveryPolicy policy) {
-  switch (policy) {
-    case PaRecoveryPolicy::kHold:
-      return "hold";
-    case PaRecoveryPolicy::kGradient:
-      return "gradient";
-    case PaRecoveryPolicy::kContract:
-      return "contract";
-    case PaRecoveryPolicy::kReset:
-      return "reset";
-  }
-  return "?";
 }
 
 bool ParsePaRecoveryPolicy(std::string_view name, PaRecoveryPolicy* out) {
@@ -74,16 +48,6 @@ bool ParsePaRecoveryPolicy(std::string_view name, PaRecoveryPolicy* out) {
   return true;
 }
 
-void AppendIsParams(const IsConfig& config, util::ParamMap* params) {
-  params->SetDouble("is.beta", config.beta);
-  params->SetDouble("is.gamma", config.gamma);
-  params->SetDouble("is.delta", config.delta);
-  params->SetDouble("is.initial_bound", config.initial_bound);
-  params->SetDouble("is.min_bound", config.min_bound);
-  params->SetDouble("is.max_bound", config.max_bound);
-  params->Set("is.index", PerformanceIndexName(config.index));
-}
-
 IsConfig IsFromParams(const util::ParamMap& params) {
   IsConfig config;
   config.beta = params.GetDouble("is.beta", config.beta);
@@ -95,21 +59,6 @@ IsConfig IsFromParams(const util::ParamMap& params) {
   config.max_bound = params.GetDouble("is.max_bound", config.max_bound);
   config.index = IndexParam(params, "is.index", config.index);
   return config;
-}
-
-void AppendPaParams(const PaConfig& config, util::ParamMap* params) {
-  params->SetDouble("pa.forgetting", config.forgetting);
-  params->SetDouble("pa.initial_covariance", config.initial_covariance);
-  params->SetDouble("pa.initial_bound", config.initial_bound);
-  params->SetDouble("pa.min_bound", config.min_bound);
-  params->SetDouble("pa.max_bound", config.max_bound);
-  params->SetDouble("pa.dither", config.dither);
-  params->SetInt("pa.warmup_updates", config.warmup_updates);
-  params->SetDouble("pa.recovery_step", config.recovery_step);
-  params->SetInt("pa.reset_after_failures", config.reset_after_failures);
-  params->SetDouble("pa.max_excitation_boost", config.max_excitation_boost);
-  params->Set("pa.recovery", PaRecoveryPolicyName(config.recovery));
-  params->Set("pa.index", PerformanceIndexName(config.index));
 }
 
 PaConfig PaFromParams(const util::ParamMap& params) {
@@ -137,15 +86,6 @@ PaConfig PaFromParams(const util::ParamMap& params) {
   return config;
 }
 
-void AppendGsParams(const GsConfig& config, util::ParamMap* params) {
-  params->SetDouble("gs.min_bound", config.min_bound);
-  params->SetDouble("gs.max_bound", config.max_bound);
-  params->SetInt("gs.samples_per_probe", config.samples_per_probe);
-  params->SetDouble("gs.min_bracket", config.min_bracket);
-  params->SetDouble("gs.restart_width_factor", config.restart_width_factor);
-  params->Set("gs.index", PerformanceIndexName(config.index));
-}
-
 GsConfig GsFromParams(const util::ParamMap& params) {
   GsConfig config;
   config.min_bound = params.GetDouble("gs.min_bound", config.min_bound);
@@ -157,15 +97,6 @@ GsConfig GsFromParams(const util::ParamMap& params) {
       params.GetDouble("gs.restart_width_factor", config.restart_width_factor);
   config.index = IndexParam(params, "gs.index", config.index);
   return config;
-}
-
-void AppendIyerParams(const IyerRuleController::Config& config,
-                      util::ParamMap* params) {
-  params->SetDouble("iyer.target_conflicts", config.target_conflicts);
-  params->SetDouble("iyer.gain", config.gain);
-  params->SetDouble("iyer.initial_bound", config.initial_bound);
-  params->SetDouble("iyer.min_bound", config.min_bound);
-  params->SetDouble("iyer.max_bound", config.max_bound);
 }
 
 IyerRuleController::Config IyerFromParams(const util::ParamMap& params) {

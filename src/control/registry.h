@@ -20,7 +20,7 @@ namespace alc::control {
 /// Everything a controller factory may consume. `params` carries the
 /// string-keyed configuration (canonical keys are namespaced per family:
 /// "pa.dither", "is.beta", "fixed.limit", ...); the remaining fields are
-/// scenario-derived context that cannot be expressed as scalars — the Tay
+/// node-derived context that cannot be expressed as scalars — the Tay
 /// rule needs the declared database size and k(t) schedule.
 struct ControllerContext {
   const util::ParamMap* params = nullptr;  // never null inside a factory
@@ -35,8 +35,8 @@ using ControllerFactory =
 /// (none, fixed, tay-rule, iyer-rule, incremental-steps,
 /// parabola-approximation, golden-section) self-registers; user code — an
 /// example binary, a bench, a test — registers additional policies with
-/// Register() and then runs them through the standard ExperimentSpec /
-/// ScenarioConfig path by name, with no core edits.
+/// Register() and then runs them through the standard ExperimentSpec path
+/// by name (`control.controller = <name>`), with no core edits.
 ///
 /// Registration must finish before concurrent Make() calls begin (the sweep
 /// runner constructs controllers from worker threads; the registry itself
@@ -65,27 +65,17 @@ class ControllerRegistry {
   std::map<std::string, ControllerFactory> factories_;
 };
 
-/// Struct <-> ParamMap serialization for the built-in controller configs.
-/// The Append* writers emit exactly the keys the factories read, so a
-/// config survives struct -> params -> struct unchanged; spec files and
-/// sweep overrides use the same keys.
-void AppendIsParams(const IsConfig& config, util::ParamMap* params);
+/// ParamMap readers for the built-in controller configs: each key the
+/// factories read ("is.beta", "pa.dither", "gs.min_bound", "iyer.gain",
+/// ...) overrides the struct default. Spec files (`control.pa.dither = 5`)
+/// and sweep overrides set the same keys.
 IsConfig IsFromParams(const util::ParamMap& params);
-
-void AppendPaParams(const PaConfig& config, util::ParamMap* params);
 PaConfig PaFromParams(const util::ParamMap& params);
-
-void AppendGsParams(const GsConfig& config, util::ParamMap* params);
 GsConfig GsFromParams(const util::ParamMap& params);
-
-void AppendIyerParams(const IyerRuleController::Config& config,
-                      util::ParamMap* params);
 IyerRuleController::Config IyerFromParams(const util::ParamMap& params);
 
-/// Enum <-> name helpers used by the param serializers and the spec layer.
-const char* PerformanceIndexName(PerformanceIndex index);
+/// Name -> enum parsers used by the param readers.
 bool ParsePerformanceIndex(std::string_view name, PerformanceIndex* out);
-const char* PaRecoveryPolicyName(PaRecoveryPolicy policy);
 bool ParsePaRecoveryPolicy(std::string_view name, PaRecoveryPolicy* out);
 
 }  // namespace alc::control

@@ -4,7 +4,7 @@
 #include <array>
 #include <vector>
 
-#include "core/scenario.h"
+#include "core/experiment_spec.h"
 #include "db/metrics.h"
 #include "telemetry/audit.h"
 #include "telemetry/histogram.h"
@@ -72,11 +72,13 @@ struct ExperimentResult {
 };
 
 /// Builds the full stack (simulator, transaction system, gate, monitor,
-/// controller, optional tuner) from a ScenarioConfig, runs it, and returns
-/// the trajectory plus summary statistics. Deterministic given the config.
+/// controller, optional tuner) from a single-node ExperimentSpec, runs it,
+/// and returns the trajectory plus summary statistics. Deterministic given
+/// the spec.
 class Experiment {
  public:
-  explicit Experiment(const ScenarioConfig& scenario);
+  /// Requires !spec.cluster and exactly one node.
+  explicit Experiment(const ExperimentSpec& spec);
 
   /// Attaches an optional trace recorder for the next Run(): transaction
   /// lifecycle, gate decisions, and controller limit changes are emitted
@@ -93,23 +95,23 @@ class Experiment {
 
   ExperimentResult Run();
 
-  const ScenarioConfig& scenario() const { return scenario_; }
-
  private:
-  ScenarioConfig scenario_;
+  ExperimentSpec spec_;
   telemetry::TraceRecorder* trace_ = nullptr;
   telemetry::DecisionAudit* audit_ = nullptr;
 };
 
-/// Convenience: stationary throughput under a fixed admission limit with
-/// all schedules frozen at their value at `freeze_time`. The workhorse of
-/// the figure-12 sweep and the true-optimum search.
-double StationaryThroughput(const ScenarioConfig& base, double fixed_limit,
+/// Convenience: stationary throughput of a single-node spec under a fixed
+/// admission limit with all schedules frozen at their value at
+/// `freeze_time`. The workhorse of the figure-12 sweep and the true-optimum
+/// search.
+double StationaryThroughput(const ExperimentSpec& base, double fixed_limit,
                             double freeze_time, double duration,
                             double warmup, uint64_t seed);
 
-/// Freezes all dynamic schedules of `base` at time `freeze_time`.
-ScenarioConfig FrozenAt(const ScenarioConfig& base, double freeze_time);
+/// Freezes the terminal schedule and every node's workload dynamics of
+/// `base` at time `freeze_time`.
+ExperimentSpec FrozenAt(const ExperimentSpec& base, double freeze_time);
 
 }  // namespace alc::core
 

@@ -8,9 +8,10 @@
 
 namespace alc::core {
 
-OptimumFinder::OptimumFinder(const ScenarioConfig& base,
+OptimumFinder::OptimumFinder(const ExperimentSpec& base,
                              const OptimumSearchConfig& search)
     : base_(base), search_(search) {
+  ALC_CHECK_EQ(base.nodes.size(), 1u);
   ALC_CHECK_GT(search.n_hi, search.n_lo);
   ALC_CHECK_GE(search.coarse_points, 3);
 }
@@ -64,7 +65,7 @@ OptimumResult OptimumFinder::FindAt(double freeze_time) {
 }
 
 std::vector<OptimumRegime> OptimumFinder::Timeline(double horizon) {
-  std::vector<double> changes = base_.dynamics.ChangePoints();
+  std::vector<double> changes = base_.nodes[0].dynamics.ChangePoints();
   auto terminal_changes = base_.active_terminals.ChangePoints();
   changes.insert(changes.end(), terminal_changes.begin(),
                  terminal_changes.end());

@@ -141,6 +141,7 @@ const char* const kLifecycle = "node availability schedules require";
 const char* const kSources = "workload sources require";
 const char* const kElastic = "elasticity requires";
 const char* const kRobustness = "robustness features require";
+const char* const kPlacement = "data placement requires";
 
 template <typename>
 struct Member;
@@ -270,7 +271,7 @@ KeyEntry InRegistry(KeyEntry entry, const char* what) {
 std::vector<KeyEntry> LogicalKeys() {
   using L = db::LogicalConfig;
   return {
-      Key<&L::db_size>("db_size"),
+      Key<&L::db_size>("db_size", AtLeast(1)),
       Key<&L::accesses_per_txn>("accesses_per_txn"),
       Key<&L::query_fraction>("query_fraction"),
       Key<&L::write_fraction>("write_fraction"),
@@ -396,19 +397,22 @@ class KeyTable {
 
     using P = placement::PlacementConfig;
     Add(Section::kPlacement, "", &Self,
-        {Key<&S::placement_enabled>("enabled")});
+        {Key<&S::placement_enabled>("enabled")}, kPlacement);
     Add(Section::kPlacement, "", &Via<&S::placement>,
         {
             OneOf(Key<&P::kind>("kind"), {"hash", "range", "replicated"}),
-            Key<&P::num_partitions>("num_partitions"),
-            Key<&P::replication_factor>("replication_factor"),
-            Key<&P::rebalance_interval>("rebalance_interval"),
+            Key<&P::num_partitions>("num_partitions", AtLeast(1)),
+            Key<&P::replication_factor>("replication_factor", AtLeast(1)),
+            Key<&P::rebalance_interval>("rebalance_interval", AtLeast(0)),
             Key<&P::rebalance_moves>("rebalance_moves"),
-        });
+        },
+        kPlacement);
     Add(Section::kPlacement, "workload.", &Via<&S::placement_workload>,
-        LogicalKeys());
-    Add(Section::kPlacement, "dynamics.", &PlacementDynamics, DynamicsKeys());
-    Add(Section::kPlacement, "remote.", &Via<&S::remote_access>, RemoteKeys());
+        LogicalKeys(), kPlacement);
+    Add(Section::kPlacement, "dynamics.", &PlacementDynamics, DynamicsKeys(),
+        kPlacement);
+    Add(Section::kPlacement, "remote.", &Via<&S::remote_access>, RemoteKeys(),
+        kPlacement);
 
     using E = elasticity::ElasticityConfig;
     using HB = elasticity::HeartbeatConfig;
@@ -473,14 +477,14 @@ class KeyTable {
     using Phys = db::PhysicalConfig;
     Add(Section::kNode, "physical.", &Via<&N::system, &Sys::physical>,
         {
-            Key<&Phys::num_terminals>("num_terminals"),
+            Key<&Phys::num_terminals>("num_terminals", AtLeast(1)),
             Key<&Phys::think_time_mean>("think_time_mean"),
-            Key<&Phys::num_cpus>("num_cpus"),
+            Key<&Phys::num_cpus>("num_cpus", AtLeast(1)),
             Key<&Phys::cpu_init_mean>("cpu_init_mean"),
             Key<&Phys::cpu_access_mean>("cpu_access_mean"),
             Key<&Phys::cpu_commit_mean>("cpu_commit_mean"),
             Key<&Phys::cpu_write_commit_mean>("cpu_write_commit_mean"),
-            Key<&Phys::io_time>("io_time"),
+            Key<&Phys::io_time>("io_time", AtLeast(0)),
             Key<&Phys::restart_delay_mean>("restart_delay_mean"),
             OneOf(Key<&Phys::cpu_distribution>("cpu_distribution"),
                   {"exponential", "deterministic", "erlang2"}),
@@ -504,8 +508,9 @@ class KeyTable {
         {
             InRegistry<control::ControllerRegistry>(
                 Key<&ControlSpec::controller>("controller"), "controller"),
-            Key<&ControlSpec::measurement_interval>("measurement_interval"),
-            Key<&ControlSpec::initial_limit>("initial_limit"),
+            Key<&ControlSpec::measurement_interval>("measurement_interval",
+                                                    Above(0)),
+            Key<&ControlSpec::initial_limit>("initial_limit", Above(0)),
             Key<&ControlSpec::displacement>("displacement"),
             Key<&ControlSpec::outer_tuner>("outer_tuner"),
             Key<&ControlSpec::params>(""),
@@ -774,33 +779,6 @@ void ReseedNodes(uint64_t base, std::vector<NodeSpec>* nodes) {
   }
 }
 
-// ------------------------------------------------------ control bridging --
-
-ControlConfig ToControlConfig(const ControlSpec& spec) {
-  ControlConfig control;
-  control.name = spec.controller;
-  control.params = spec.params;
-  control.measurement_interval = spec.measurement_interval;
-  control.initial_limit = spec.initial_limit;
-  control.displacement = spec.displacement;
-  control.outer_tuner = spec.outer_tuner;
-  return control;
-}
-
-ControlSpec FromControlConfig(const ControlConfig& control) {
-  ControlSpec spec;
-  spec.controller = control.resolved_name();
-  // Embed the typed structs as canonical params; explicit params win, which
-  // mirrors the MakeController merge order exactly.
-  spec.params = ControlStructParams(control);
-  spec.params.Merge(control.params);
-  spec.measurement_interval = control.measurement_interval;
-  spec.initial_limit = control.initial_limit;
-  spec.displacement = control.displacement;
-  spec.outer_tuner = control.outer_tuner;
-  return spec;
-}
-
 }  // namespace
 
 std::string PrintSpec(const ExperimentSpec& spec) {
@@ -951,6 +929,16 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
   return true;
 }
 
+ExperimentSpec ParseSpecOrDie(const std::string& text) {
+  ExperimentSpec spec;
+  std::string error;
+  if (!ParseSpec(text, &spec, &error)) {
+    std::fprintf(stderr, "ParseSpecOrDie: %s\n", error.c_str());
+    ALC_CHECK(false);
+  }
+  return spec;
+}
+
 bool ValidateSpec(const ExperimentSpec& spec, std::string* error) {
   // The checks a per-key bound cannot make: they relate fields to each
   // other or to the final fleet size.
@@ -1093,9 +1081,17 @@ bool ApplySpecOverride(ExperimentSpec* spec, const std::string& key,
   const KeyEntry* entry = FindKey(section, subkey, error);
   if (entry == nullptr) return false;
   // A cluster-only override on a single-node spec would be silently unused
-  // (ToScenario never reads those fields), so reject it instead of
-  // sweeping bit-identical points.
+  // (Experiment never reads those fields), so reject it instead of
+  // sweeping bit-identical points. A bad value is still reported as such:
+  // it is tried on a scratch owner first.
   if (entry->cluster_only != nullptr && !spec->cluster) {
+    ExperimentSpec scratch;
+    NodeSpec scratch_node;
+    void* owner = section == Section::kNode ? static_cast<void*>(&scratch_node)
+                                            : &scratch;
+    if (!Assign(*entry, subkey, owner, value, kNoSchedules, error)) {
+      return false;
+    }
     *error = "override '" + key + "': " + entry->cluster_only +
              " cluster mode (cluster = true)";
     return false;
@@ -1161,109 +1157,6 @@ std::vector<SpecKeyInfo> SpecKeys() {
   return keys;
 }
 
-ExperimentSpec SpecFromScenario(const ScenarioConfig& scenario) {
-  ExperimentSpec spec;
-  spec.cluster = false;
-  spec.seed = scenario.system.seed;
-  spec.duration = scenario.duration;
-  spec.warmup = scenario.warmup;
-  spec.active_terminals = scenario.active_terminals;
-  NodeSpec node;
-  node.system = scenario.system;
-  node.dynamics = scenario.dynamics;
-  node.control = FromControlConfig(scenario.control);
-  spec.nodes.push_back(std::move(node));
-  return spec;
-}
-
-ExperimentSpec SpecFromCluster(const ClusterScenarioConfig& scenario) {
-  ExperimentSpec spec;
-  spec.cluster = true;
-  spec.seed = scenario.seed;
-  spec.duration = scenario.duration;
-  spec.warmup = scenario.warmup;
-  spec.routing = scenario.resolved_routing_name();
-  cluster::AppendThresholdParams(scenario.threshold, &spec.routing_params);
-  cluster::AppendPowerOfDParams(scenario.power_of_d, &spec.routing_params);
-  spec.routing_params.Merge(scenario.routing_params);
-  spec.arrival_rate = scenario.arrival_rate;
-  spec.workload = scenario.workload;
-  spec.retraction = scenario.retraction.enabled;
-  spec.retraction_queue_factor = scenario.retraction.queue_factor;
-  spec.retraction_interval = scenario.retraction.check_interval;
-  spec.retry = scenario.retry;
-  spec.degrade = scenario.degrade;
-  spec.fault = scenario.fault;
-  spec.placement_enabled = scenario.placement_enabled;
-  spec.placement = scenario.placement.placement;
-  spec.placement_workload = scenario.placement.workload;
-  spec.placement_dynamics = scenario.placement.dynamics;
-  spec.remote_access = scenario.remote_access;
-  spec.elasticity = scenario.elasticity;
-  spec.nodes.reserve(scenario.nodes.size());
-  for (const ClusterNodeScenario& node : scenario.nodes) {
-    NodeSpec node_spec;
-    node_spec.system = node.system;
-    node_spec.dynamics = node.dynamics;
-    node_spec.control = FromControlConfig(node.control);
-    node_spec.cpu_speed = node.cpu_speed;
-    node_spec.availability = node.availability;
-    node_spec.rejoin = node.rejoin;
-    spec.nodes.push_back(std::move(node_spec));
-  }
-  return spec;
-}
-
-ScenarioConfig ToScenario(const ExperimentSpec& spec) {
-  ALC_CHECK(!spec.cluster);
-  ALC_CHECK_EQ(spec.nodes.size(), 1u);
-  ScenarioConfig scenario;
-  scenario.system = spec.nodes[0].system;
-  scenario.dynamics = spec.nodes[0].dynamics;
-  scenario.active_terminals = spec.active_terminals;
-  scenario.control = ToControlConfig(spec.nodes[0].control);
-  scenario.duration = spec.duration;
-  scenario.warmup = spec.warmup;
-  return scenario;
-}
-
-ClusterScenarioConfig ToClusterScenario(const ExperimentSpec& spec) {
-  ALC_CHECK(spec.cluster);
-  ALC_CHECK(!spec.nodes.empty());
-  ClusterScenarioConfig scenario;
-  scenario.routing_name = spec.routing;
-  scenario.routing_params = spec.routing_params;
-  scenario.arrival_rate = spec.arrival_rate;
-  scenario.workload = spec.workload;
-  scenario.retraction.enabled = spec.retraction;
-  scenario.retraction.queue_factor = spec.retraction_queue_factor;
-  scenario.retraction.check_interval = spec.retraction_interval;
-  scenario.retry = spec.retry;
-  scenario.degrade = spec.degrade;
-  scenario.fault = spec.fault;
-  scenario.placement_enabled = spec.placement_enabled;
-  scenario.placement.placement = spec.placement;
-  scenario.placement.workload = spec.placement_workload;
-  scenario.placement.dynamics = spec.placement_dynamics;
-  scenario.remote_access = spec.remote_access;
-  scenario.elasticity = spec.elasticity;
-  scenario.seed = spec.seed;
-  scenario.duration = spec.duration;
-  scenario.warmup = spec.warmup;
-  scenario.nodes.reserve(spec.nodes.size());
-  for (const NodeSpec& node : spec.nodes) {
-    ClusterNodeScenario node_scenario;
-    node_scenario.system = node.system;
-    node_scenario.dynamics = node.dynamics;
-    node_scenario.control = ToControlConfig(node.control);
-    node_scenario.cpu_speed = node.cpu_speed;
-    node_scenario.availability = node.availability;
-    node_scenario.rejoin = node.rejoin;
-    scenario.nodes.push_back(std::move(node_scenario));
-  }
-  return scenario;
-}
-
 SpecRunResult RunSpec(const ExperimentSpec& spec) {
   std::string error;
   if (!ValidateSpec(spec, &error)) {
@@ -1286,12 +1179,12 @@ SpecRunResult RunSpec(const ExperimentSpec& spec) {
     audit = std::make_unique<telemetry::DecisionAudit>();
   }
   if (spec.cluster) {
-    ClusterExperiment experiment(ToClusterScenario(spec));
+    ClusterExperiment experiment(spec);
     if (trace) experiment.SetTraceRecorder(trace.get());
     if (audit) experiment.SetDecisionAudit(audit.get());
     result.cluster_result = experiment.Run();
   } else {
-    Experiment experiment(ToScenario(spec));
+    Experiment experiment(spec);
     if (trace) experiment.SetTraceRecorder(trace.get());
     if (audit) experiment.SetDecisionAudit(audit.get());
     result.single = experiment.Run();

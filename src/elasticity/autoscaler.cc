@@ -88,15 +88,6 @@ void PiAutoscaler::DescribeDecision(control::DecisionState* state) const {
   state->Set("drive", last_drive_);
 }
 
-void AppendHysteresisParams(const HysteresisAutoscaler::Config& config,
-                            util::ParamMap* params) {
-  params->SetDouble("hysteresis.up_queue_factor", config.up_queue_factor);
-  params->SetDouble("hysteresis.down_queue_factor", config.down_queue_factor);
-  params->SetDouble("hysteresis.up_p95", config.up_p95);
-  params->SetInt("hysteresis.hold_ticks", config.hold_ticks);
-  params->SetDouble("hysteresis.cooldown", config.cooldown);
-}
-
 HysteresisAutoscaler::Config HysteresisFromParams(
     const util::ParamMap& params) {
   HysteresisAutoscaler::Config config;
@@ -108,15 +99,6 @@ HysteresisAutoscaler::Config HysteresisFromParams(
   config.hold_ticks = params.GetInt("hysteresis.hold_ticks", config.hold_ticks);
   config.cooldown = params.GetDouble("hysteresis.cooldown", config.cooldown);
   return config;
-}
-
-void AppendPiParams(const PiAutoscaler::Config& config,
-                    util::ParamMap* params) {
-  params->SetDouble("pi.target_queue_factor", config.target_queue_factor);
-  params->SetDouble("pi.kp", config.kp);
-  params->SetDouble("pi.ki", config.ki);
-  params->SetDouble("pi.integral_clamp", config.integral_clamp);
-  params->SetDouble("pi.cooldown", config.cooldown);
 }
 
 PiAutoscaler::Config PiFromParams(const util::ParamMap& params) {

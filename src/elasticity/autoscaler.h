@@ -161,13 +161,9 @@ class AutoscalerRegistry {
   std::map<std::string, AutoscalerFactory> factories_;
 };
 
-/// Struct <-> ParamMap serialization for the built-in scaler configs; the
-/// writers emit exactly the keys the factories read.
-void AppendHysteresisParams(const HysteresisAutoscaler::Config& config,
-                            util::ParamMap* params);
+/// ParamMap readers for the built-in scaler configs: each key the factories
+/// read ("hysteresis.cooldown", "pi.kp", ...) overrides the struct default.
 HysteresisAutoscaler::Config HysteresisFromParams(const util::ParamMap& params);
-
-void AppendPiParams(const PiAutoscaler::Config& config, util::ParamMap* params);
 PiAutoscaler::Config PiFromParams(const util::ParamMap& params);
 
 }  // namespace alc::elasticity

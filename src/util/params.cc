@@ -39,7 +39,10 @@ bool ParseDouble(const std::string& text, double* out) {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || errno == ERANGE) return false;
+  if (end != text.c_str() + text.size()) return false;
+  // ERANGE also flags a subnormal result, which FormatDouble prints and so
+  // must parse back; only overflow and underflow to zero are errors.
+  if (errno == ERANGE && (value == 0.0 || std::isinf(value))) return false;
   *out = value;
   return true;
 }

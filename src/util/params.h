@@ -15,6 +15,8 @@ namespace alc::util {
 std::string FormatDouble(double value);
 
 /// Parses a floating-point literal; the whole string must be consumed.
+/// Subnormal values parse; literals that overflow or underflow to zero do
+/// not.
 bool ParseDouble(const std::string& text, double* out);
 bool ParseInt(const std::string& text, long long* out);
 bool ParseUint64(const std::string& text, uint64_t* out);

@@ -6,7 +6,7 @@
 #include "cluster/metrics.h"
 #include "cluster/router.h"
 #include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
+#include "core/spec.h"
 
 namespace alc {
 namespace {
@@ -140,49 +140,43 @@ TEST(RoutingPolicyTest, ThresholdDecaysWhenLoadLeaves) {
 
 // -------------------------------------------------------------- experiment --
 
-/// Downscaled node so cluster tests stay fast (mirrors the experiment-test
-/// SmallScenario).
-core::ClusterNodeScenario SmallNode(uint64_t seed) {
-  core::ClusterNodeScenario node;
-  node.system.physical.num_cpus = 4;
-  node.system.physical.cpu_init_mean = 0.001;
-  node.system.physical.cpu_access_mean = 0.001;
-  node.system.physical.cpu_commit_mean = 0.001;
-  node.system.physical.cpu_write_commit_mean = 0.004;
-  node.system.physical.io_time = 0.008;
-  node.system.physical.restart_delay_mean = 0.02;
-  node.system.logical.db_size = 600;
-  node.system.logical.accesses_per_txn = 8;
-  node.system.logical.query_fraction = 0.3;
-  node.system.logical.write_fraction = 0.4;
-  node.system.seed = seed;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
-  node.control.name = "parabola-approximation";
-  node.control.measurement_interval = 0.5;
-  node.control.initial_limit = 20.0;
-  node.control.pa.initial_bound = 20.0;
-  node.control.pa.min_bound = 2.0;
-  node.control.pa.max_bound = 150.0;
-  node.control.pa.dither = 5.0;
-  return node;
-}
-
-core::ClusterScenarioConfig SmallCluster(int num_nodes, uint64_t seed = 17) {
-  core::ClusterScenarioConfig scenario;
-  for (int i = 0; i < num_nodes; ++i) {
-    scenario.nodes.push_back(SmallNode(core::DecorrelatedNodeSeed(seed, i)));
-  }
-  scenario.seed = seed;
-  scenario.arrival_rate = db::Schedule::Constant(80.0 * num_nodes);
-  scenario.duration = 40.0;
-  scenario.warmup = 10.0;
-  return scenario;
+/// Downscaled nodes so cluster tests stay fast (mirrors the
+/// experiment-test SmallSpec), seeds decorrelated from `seed`.
+core::ExperimentSpec SmallCluster(int num_nodes, uint64_t seed = 17) {
+  return core::ParseSpecOrDie(
+      "[experiment]\n"
+      "cluster = true\n"
+      "seed = " + std::to_string(seed) + "\n"
+      "duration = 40\n"
+      "warmup = 10\n"
+      "arrival_rate = constant(" + std::to_string(80 * num_nodes) + ")\n"
+      "[node]\n"
+      "count = " + std::to_string(num_nodes) + "\n"
+      "physical.num_cpus = 4\n"
+      "physical.cpu_init_mean = 0.001\n"
+      "physical.cpu_access_mean = 0.001\n"
+      "physical.cpu_commit_mean = 0.001\n"
+      "physical.cpu_write_commit_mean = 0.004\n"
+      "physical.io_time = 0.008\n"
+      "physical.restart_delay_mean = 0.02\n"
+      "logical.db_size = 600\n"
+      "logical.accesses_per_txn = 8\n"
+      "logical.query_fraction = 0.3\n"
+      "logical.write_fraction = 0.4\n"
+      "dynamics.k = constant(8)\n"
+      "dynamics.write_fraction = constant(0.4)\n"
+      "control.measurement_interval = 0.5\n"
+      "control.initial_limit = 20\n"
+      "control.pa.initial_bound = 20\n"
+      "control.pa.min_bound = 2\n"
+      "control.pa.max_bound = 150\n"
+      "control.pa.dither = 5\n");
 }
 
 TEST(ClusterExperimentTest, RunsAndCommitsOnEveryNode) {
-  core::ClusterScenarioConfig scenario = SmallCluster(4);
-  scenario.routing_name = "join-shortest-queue";
-  const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+  core::ExperimentSpec spec = SmallCluster(4);
+  spec.routing = "join-shortest-queue";
+  const core::ClusterResult result = core::ClusterExperiment(spec).Run();
   ASSERT_EQ(result.nodes.size(), 4u);
   EXPECT_GT(result.routed, 0u);
   uint64_t routed_sum = 0;
@@ -205,11 +199,11 @@ TEST(ClusterExperimentTest, EveryRoutingPolicyRuns) {
   for (const char* routing :
        {"round-robin", "random", "join-shortest-queue", "threshold",
         "power-of-d", "locality", "locality-threshold"}) {
-    core::ClusterScenarioConfig scenario = SmallCluster(3);
-    scenario.duration = 20.0;
-    scenario.warmup = 5.0;
-    scenario.routing_name = routing;
-    const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+    core::ExperimentSpec spec = SmallCluster(3);
+    spec.duration = 20.0;
+    spec.warmup = 5.0;
+    spec.routing = routing;
+    const core::ClusterResult result = core::ClusterExperiment(spec).Run();
     EXPECT_GT(result.commits, 0u) << routing;
   }
 }
@@ -218,15 +212,15 @@ TEST(ClusterExperimentTest, EveryControllerComposesWithRouting) {
   for (const char* controller :
        {"none", "fixed", "incremental-steps", "parabola-approximation",
         "golden-section"}) {
-    core::ClusterScenarioConfig scenario = SmallCluster(2);
-    scenario.duration = 20.0;
-    scenario.warmup = 5.0;
-    scenario.routing_name = "threshold";
-    for (core::ClusterNodeScenario& node : scenario.nodes) {
-      node.control.name = controller;
-      node.control.fixed_limit = 20.0;
+    core::ExperimentSpec spec = SmallCluster(2);
+    spec.duration = 20.0;
+    spec.warmup = 5.0;
+    spec.routing = "threshold";
+    for (core::NodeSpec& node : spec.nodes) {
+      node.control.controller = controller;
+      node.control.params.SetDouble("fixed.limit", 20.0);
     }
-    const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+    const core::ClusterResult result = core::ClusterExperiment(spec).Run();
     EXPECT_GT(result.commits, 0u) << controller;
   }
 }
@@ -238,10 +232,10 @@ void ExpectPointsBitIdentical(const core::TrajectoryPoint& a,
 }
 
 TEST(ClusterExperimentTest, FourNodeRunIsBitDeterministic) {
-  core::ClusterScenarioConfig scenario = SmallCluster(4, 23);
-  scenario.routing_name = "join-shortest-queue";
-  const core::ClusterResult a = core::ClusterExperiment(scenario).Run();
-  const core::ClusterResult b = core::ClusterExperiment(scenario).Run();
+  core::ExperimentSpec spec = SmallCluster(4, 23);
+  spec.routing = "join-shortest-queue";
+  const core::ClusterResult a = core::ClusterExperiment(spec).Run();
+  const core::ClusterResult b = core::ClusterExperiment(spec).Run();
   ASSERT_EQ(a.nodes.size(), b.nodes.size());
   EXPECT_EQ(a.commits, b.commits);
   EXPECT_EQ(a.routed, b.routed);
@@ -261,8 +255,8 @@ TEST(ClusterExperimentTest, FourNodeRunIsBitDeterministic) {
 }
 
 TEST(ClusterExperimentTest, SeedChangesOutcome) {
-  core::ClusterScenarioConfig a = SmallCluster(2, 1);
-  core::ClusterScenarioConfig b = SmallCluster(2, 2);
+  core::ExperimentSpec a = SmallCluster(2, 1);
+  core::ExperimentSpec b = SmallCluster(2, 2);
   a.duration = b.duration = 20.0;
   a.warmup = b.warmup = 5.0;
   EXPECT_NE(core::ClusterExperiment(a).Run().commits,
@@ -270,25 +264,25 @@ TEST(ClusterExperimentTest, SeedChangesOutcome) {
 }
 
 TEST(ClusterExperimentTest, JsqShiftsLoadAwayFromDegradedNode) {
-  core::ClusterScenarioConfig scenario = SmallCluster(2, 31);
-  scenario.routing_name = "join-shortest-queue";
+  core::ExperimentSpec spec = SmallCluster(2, 31);
+  spec.routing = "join-shortest-queue";
   // Node 0 loses 70% of its CPU speed for the whole run.
-  scenario.nodes[0].cpu_speed = core::NodeSlowdownSchedule(0.3, 0.0, 1e9);
-  const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+  spec.nodes[0].cpu_speed = core::NodeSlowdownSchedule(0.3, 0.0, 1e9);
+  const core::ClusterResult result = core::ClusterExperiment(spec).Run();
   // The router observes the backlog on the slow node and sends the bulk of
   // the work to the healthy one.
   EXPECT_GT(result.nodes[1].routed, result.nodes[0].routed);
 }
 
 TEST(ClusterExperimentTest, HeterogeneousNodesAllowed) {
-  core::ClusterScenarioConfig scenario = SmallCluster(3, 41);
-  scenario.duration = 20.0;
-  scenario.warmup = 5.0;
-  scenario.routing_name = "join-shortest-queue";
-  scenario.nodes[0].system.physical.num_cpus = 8;   // big node
-  scenario.nodes[1].system.logical.db_size = 300;   // contended node
-  scenario.nodes[2].system.cc = db::CcScheme::kTwoPhaseLocking;
-  const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+  core::ExperimentSpec spec = SmallCluster(3, 41);
+  spec.duration = 20.0;
+  spec.warmup = 5.0;
+  spec.routing = "join-shortest-queue";
+  spec.nodes[0].system.physical.num_cpus = 8;   // big node
+  spec.nodes[1].system.logical.db_size = 300;   // contended node
+  spec.nodes[2].system.cc = db::CcScheme::kTwoPhaseLocking;
+  const core::ClusterResult result = core::ClusterExperiment(spec).Run();
   for (const core::ClusterNodeResult& node : result.nodes) {
     EXPECT_GT(node.commits, 0u);
   }
@@ -331,21 +325,21 @@ TEST(ClusterMetricsTest, AggregateTruncatesToShortestSeries) {
 }
 
 TEST(UniformClusterTest, DecorrelatesNodeSeeds) {
-  core::ScenarioConfig base = core::DefaultScenario();
-  base.system.seed = 99;
-  const core::ClusterScenarioConfig scenario = core::UniformCluster(4, base);
-  ASSERT_EQ(scenario.nodes.size(), 4u);
-  for (size_t i = 0; i < scenario.nodes.size(); ++i) {
-    for (size_t j = i + 1; j < scenario.nodes.size(); ++j) {
-      EXPECT_NE(scenario.nodes[i].system.seed, scenario.nodes[j].system.seed);
+  core::ExperimentSpec base = core::ParseSpecOrDie("[node]\n");
+  base.nodes[0].system.seed = 99;
+  const core::ExperimentSpec spec = core::UniformCluster(4, base);
+  ASSERT_EQ(spec.nodes.size(), 4u);
+  for (size_t i = 0; i < spec.nodes.size(); ++i) {
+    for (size_t j = i + 1; j < spec.nodes.size(); ++j) {
+      EXPECT_NE(spec.nodes[i].system.seed, spec.nodes[j].system.seed);
     }
   }
   // Node seeds must not form an arithmetic progression: the system derives
   // its internal streams by adding fixed offsets to its seed, so a constant
   // stride would alias one node's stream onto a neighbor's.
-  EXPECT_NE(scenario.nodes[1].system.seed - scenario.nodes[0].system.seed,
-            scenario.nodes[2].system.seed - scenario.nodes[1].system.seed);
-  EXPECT_EQ(scenario.seed, 99u);
+  EXPECT_NE(spec.nodes[1].system.seed - spec.nodes[0].system.seed,
+            spec.nodes[2].system.seed - spec.nodes[1].system.seed);
+  EXPECT_EQ(spec.seed, 99u);
 }
 
 }  // namespace

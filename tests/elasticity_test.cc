@@ -193,27 +193,26 @@ TEST(AutoscalerTest, RegistryKnowsBuiltinsAndRejectsUnknown) {
   EXPECT_EQ(pi->name(), "pi");
 }
 
-TEST(AutoscalerTest, ParamBridgesRoundTrip) {
-  elasticity::HysteresisAutoscaler::Config hysteresis;
-  hysteresis.up_queue_factor = 1.7;
-  hysteresis.down_queue_factor = 0.3;
-  hysteresis.hold_ticks = 4;
-  hysteresis.cooldown = 9.0;
+TEST(AutoscalerTest, ParamReadersParseScalerConfigs) {
   util::ParamMap params;
-  elasticity::AppendHysteresisParams(hysteresis, &params);
+  params.Set("hysteresis.up_queue_factor", "1.7");
+  params.Set("hysteresis.down_queue_factor", "0.3");
+  params.Set("hysteresis.hold_ticks", "4");
+  params.Set("hysteresis.cooldown", "9");
   const elasticity::HysteresisAutoscaler::Config hysteresis_back =
       elasticity::HysteresisFromParams(params);
   EXPECT_EQ(hysteresis_back.up_queue_factor, 1.7);
   EXPECT_EQ(hysteresis_back.down_queue_factor, 0.3);
   EXPECT_EQ(hysteresis_back.hold_ticks, 4);
   EXPECT_EQ(hysteresis_back.cooldown, 9.0);
+  // Keys left unset keep the struct defaults.
+  EXPECT_EQ(hysteresis_back.up_p95,
+            elasticity::HysteresisAutoscaler::Config().up_p95);
 
-  elasticity::PiAutoscaler::Config pi;
-  pi.target_queue_factor = 0.8;
-  pi.kp = 3.0;
-  pi.ki = 0.7;
   util::ParamMap pi_params;
-  elasticity::AppendPiParams(pi, &pi_params);
+  pi_params.Set("pi.target_queue_factor", "0.8");
+  pi_params.Set("pi.kp", "3");
+  pi_params.Set("pi.ki", "0.7");
   const elasticity::PiAutoscaler::Config pi_back =
       elasticity::PiFromParams(pi_params);
   EXPECT_EQ(pi_back.target_queue_factor, 0.8);

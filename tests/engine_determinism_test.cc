@@ -4,7 +4,8 @@
 // simulation results: same RNG draws, same event order (equal-time FIFO),
 // same CSV bytes. The pinned hashes were captured from the pre-refactor
 // engine (sha256 of the alc_run exports was verified identical); if this
-// test fails, the event engine reordered or perturbed the simulation.
+// test fails, the event engine reordered or perturbed the simulation. The
+// single-node paper model's trajectories are pinned the same way.
 
 #include <cstdint>
 #include <sstream>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.h"
 #include "core/export.h"
 #include "core/spec.h"
 
@@ -71,6 +73,56 @@ TEST(EngineDeterminismTest, NodeFailoverCsvMatchesPreRefactorBaseline) {
   EXPECT_EQ(aggregate_csv.size(), 42585u);
   EXPECT_EQ(Fnv1a(cluster_csv), 4532971164558580086ULL);
   EXPECT_EQ(Fnv1a(aggregate_csv), 11098696363277174748ULL);
+}
+
+/// bench/common.h's PaperSpec(42) cut to 60 s: the single-node paper model
+/// under the three controllers whose parameters it sets.
+std::string PaperModelText(const std::string& controller) {
+  return "[experiment]\n"
+         "seed = 42\n"
+         "duration = 60\n"
+         "warmup = 10\n"
+         "[node]\n"
+         "control.controller = " + controller + "\n"
+         "control.is.initial_bound = 50\n"
+         "control.is.min_bound = 5\n"
+         "control.is.max_bound = 750\n"
+         "control.is.beta = 1\n"
+         "control.is.gamma = 10\n"
+         "control.is.delta = 25\n"
+         "control.pa.initial_bound = 50\n"
+         "control.pa.min_bound = 5\n"
+         "control.pa.max_bound = 750\n"
+         "control.pa.forgetting = 0.95\n"
+         "control.pa.dither = 15\n"
+         "control.iyer.initial_bound = 50\n"
+         "control.iyer.min_bound = 5\n"
+         "control.iyer.max_bound = 750\n"
+         "control.iyer.gain = 60\n";
+}
+
+// Captured when the controllers were still configured through typed
+// IS/PA/Iyer structs: the pins hold the params-only path to those bytes.
+TEST(EngineDeterminismTest, PaperModelTrajectoriesArePinned) {
+  struct Pin {
+    const char* controller;
+    size_t size;
+    uint64_t fnv;
+  };
+  const Pin pins[] = {
+      {"incremental-steps", 5955u, 3625279991734262999ULL},
+      {"parabola-approximation", 6127u, 5203420508943735798ULL},
+      {"iyer-rule", 5877u, 15322039885377429202ULL},
+  };
+  for (const Pin& pin : pins) {
+    const core::ExperimentSpec spec =
+        core::ParseSpecOrDie(PaperModelText(pin.controller));
+    const core::ExperimentResult result = core::Experiment(spec).Run();
+    std::ostringstream csv;
+    core::WriteTrajectoryCsv(csv, result.trajectory, {});
+    EXPECT_EQ(csv.str().size(), pin.size) << pin.controller;
+    EXPECT_EQ(Fnv1a(csv.str()), pin.fnv) << pin.controller;
+  }
 }
 
 }  // namespace

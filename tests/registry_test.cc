@@ -1,6 +1,6 @@
 // Controller and routing-policy registries: built-in coverage, the
 // deprecated enums' alias names, unknown-name and duplicate-registration
-// errors, param serialization round trips, and external registration
+// errors, the typed-config param readers, and external registration
 // running through the standard ExperimentSpec path with no core edits.
 
 #include <algorithm>
@@ -13,8 +13,6 @@
 #include "control/fixed.h"
 #include "control/registry.h"
 #include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
-#include "core/scenario.h"
 #include "core/spec.h"
 
 namespace alc {
@@ -38,10 +36,10 @@ TEST(ControllerRegistryTest, BuiltInNamesReachTheExpectedFactories) {
        {"none", "fixed", "tay-rule", "iyer-rule", "incremental-steps",
         "parabola-approximation", "golden-section"}) {
     EXPECT_TRUE(control::ControllerRegistry::Global().Contains(name)) << name;
-    core::ScenarioConfig scenario = core::DefaultScenario();
-    scenario.control.name = name;
+    core::NodeSpec node;
+    node.control.controller = name;
     std::unique_ptr<control::LoadController> controller =
-        core::MakeController(scenario);
+        core::MakeController(node);
     ASSERT_NE(controller, nullptr);
     EXPECT_EQ(controller->name(), std::string_view(name));
   }
@@ -76,28 +74,38 @@ TEST(ControllerRegistryTest, DuplicateRegistrationIsRejected) {
   EXPECT_EQ(controller->bound(), 33.0);
 }
 
-TEST(ControllerRegistryTest, ParamsRoundTripTypedConfigs) {
-  control::PaConfig pa;
-  pa.forgetting = 0.91;
-  pa.dither = 4.5;
-  pa.recovery = control::PaRecoveryPolicy::kContract;
-  pa.index = control::PerformanceIndex::kInverseResponseTime;
+TEST(ControllerRegistryTest, ParamReadersParseTypedConfigs) {
   util::ParamMap params;
-  control::AppendPaParams(pa, &params);
-  const control::PaConfig back = control::PaFromParams(params);
-  EXPECT_EQ(back.forgetting, pa.forgetting);
-  EXPECT_EQ(back.dither, pa.dither);
-  EXPECT_EQ(back.recovery, pa.recovery);
-  EXPECT_EQ(back.index, pa.index);
+  params.Set("pa.forgetting", "0.91");
+  params.Set("pa.dither", "4.5");
+  params.Set("pa.recovery", "contract");
+  params.Set("pa.index", "inverse-response-time");
+  const control::PaConfig pa = control::PaFromParams(params);
+  EXPECT_EQ(pa.forgetting, 0.91);
+  EXPECT_EQ(pa.dither, 4.5);
+  EXPECT_EQ(pa.recovery, control::PaRecoveryPolicy::kContract);
+  EXPECT_EQ(pa.index, control::PerformanceIndex::kInverseResponseTime);
+  // Keys left unset keep the struct defaults.
+  EXPECT_EQ(pa.max_bound, control::PaConfig().max_bound);
 
-  control::IsConfig is;
-  is.beta = 1.5;
-  is.max_bound = 444.0;
   util::ParamMap is_params;
-  control::AppendIsParams(is, &is_params);
-  const control::IsConfig is_back = control::IsFromParams(is_params);
-  EXPECT_EQ(is_back.beta, is.beta);
-  EXPECT_EQ(is_back.max_bound, is.max_bound);
+  is_params.Set("is.beta", "1.5");
+  is_params.Set("is.max_bound", "444");
+  const control::IsConfig is = control::IsFromParams(is_params);
+  EXPECT_EQ(is.beta, 1.5);
+  EXPECT_EQ(is.max_bound, 444.0);
+  EXPECT_EQ(is.gamma, control::IsConfig().gamma);
+
+  util::ParamMap gs_params;
+  gs_params.Set("gs.samples_per_probe", "7");
+  gs_params.Set("gs.index", "effective-cpu-utilization");
+  const control::GsConfig gs = control::GsFromParams(gs_params);
+  EXPECT_EQ(gs.samples_per_probe, 7);
+  EXPECT_EQ(gs.index, control::PerformanceIndex::kEffectiveCpuUtilization);
+
+  util::ParamMap iyer_params;
+  iyer_params.Set("iyer.gain", "60");
+  EXPECT_EQ(control::IyerFromParams(iyer_params).gain, 60.0);
 }
 
 /// The example-controller scenario: a policy registered outside src/ (here,
@@ -124,13 +132,14 @@ TEST(ControllerRegistryTest, ExternalControllerRunsThroughSpecPath) {
             context.params->GetDouble("halving.initial", 100.0));
       });
 
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.system.seed = 3;
-  scenario.duration = 10.0;
-  scenario.warmup = 2.0;
-  core::ExperimentSpec spec = core::SpecFromScenario(scenario);
-  spec.nodes[0].control.controller = "test-halving";
-  spec.nodes[0].control.params.SetDouble("halving.initial", 64.0);
+  const core::ExperimentSpec spec = core::ParseSpecOrDie(
+      "[experiment]\n"
+      "seed = 3\n"
+      "duration = 10\n"
+      "warmup = 2\n"
+      "[node]\n"
+      "control.controller = test-halving\n"
+      "control.halving.initial = 64\n");
 
   // Through the text form too: registration is all it takes for the name
   // to work in a spec file.

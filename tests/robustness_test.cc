@@ -11,7 +11,7 @@
 #include "control/monitor.h"
 #include "control/parabola.h"
 #include "core/experiment.h"
-#include "core/scenario.h"
+#include "core/spec.h"
 #include "db/system.h"
 #include "sim/simulator.h"
 
@@ -301,18 +301,19 @@ TEST(RobustnessTest, PaBoostStretchesDitherPeriod) {
 }
 
 TEST(RobustnessTest, ExperimentWithTayRuleTracksDeclaredK) {
-  core::ScenarioConfig scenario;
-  scenario.system = TinyConfig(7);
-  scenario.system.physical.num_terminals = 40;
-  scenario.system.logical.db_size = 400;
-  scenario.system.logical.accesses_per_txn = 8;
-  scenario.dynamics = db::WorkloadDynamics::FromConfig(scenario.system.logical);
-  scenario.dynamics.k = db::Schedule::Steps(8.0, {{10.0, 4.0}});
-  scenario.active_terminals = db::Schedule::Constant(40);
-  scenario.duration = 20.0;
-  scenario.warmup = 2.0;
-  scenario.control.name = "tay-rule";
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  core::ExperimentSpec spec;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system = TinyConfig(7);
+  node.system.physical.num_terminals = 40;
+  node.system.logical.db_size = 400;
+  node.system.logical.accesses_per_txn = 8;
+  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  node.dynamics.k = db::Schedule::Steps(8.0, {{10.0, 4.0}});
+  spec.active_terminals = db::Schedule::Constant(40);
+  spec.duration = 20.0;
+  spec.warmup = 2.0;
+  node.control.controller = "tay-rule";
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   // Bound before the k change: 1.5*400/64 = 9.375; after: 1.5*400/16 = 37.5.
   bool saw_low = false, saw_high = false;
   for (const core::TrajectoryPoint& point : result.trajectory) {
@@ -328,15 +329,16 @@ TEST(RobustnessTest, ExperimentWithTayRuleTracksDeclaredK) {
 }
 
 TEST(RobustnessTest, ZeroWarmupExperiment) {
-  core::ScenarioConfig scenario;
-  scenario.system = TinyConfig(3);
-  scenario.dynamics = db::WorkloadDynamics::FromConfig(scenario.system.logical);
-  scenario.active_terminals = db::Schedule::Constant(4);
-  scenario.duration = 5.0;
-  scenario.warmup = 0.0;
-  scenario.control.name = "fixed";
-  scenario.control.fixed_limit = 5.0;
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  core::ExperimentSpec spec;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system = TinyConfig(3);
+  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  spec.active_terminals = db::Schedule::Constant(4);
+  spec.duration = 5.0;
+  spec.warmup = 0.0;
+  node.control.controller = "fixed";
+  node.control.params.SetDouble("fixed.limit", 5.0);
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   EXPECT_GT(result.commits, 0u);
 }
 

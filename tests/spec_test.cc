@@ -3,7 +3,7 @@
 // key table (print coverage, bounds on both the parse and the override
 // path), parser conveniences (node cloning, named schedules) and error
 // reporting, overrides and whole-spec validation of override chains, and
-// run-equivalence of the spec path against the legacy struct path.
+// run-equivalence of RunSpec against a directly built Experiment.
 
 #include "core/spec.h"
 
@@ -13,13 +13,13 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
 #include "core/export.h"
-#include "core/scenario.h"
 #include "core/sweep.h"
 #include "db/schedule.h"
 #include "util/params.h"
@@ -88,21 +88,21 @@ core::ExperimentSpec RoundTrip(const core::ExperimentSpec& spec) {
 }
 
 TEST(SpecRoundTripTest, SingleNodeWithDynamicWorkload) {
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.system.seed = 123;
-  scenario.system.cc = db::CcScheme::kTwoPhaseLocking;
-  scenario.system.physical.cpu_distribution =
-      db::ServiceDistribution::kErlang2;
-  scenario.dynamics.query_fraction =
+  core::ExperimentSpec spec;
+  spec.seed = 123;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system.seed = 123;
+  node.system.cc = db::CcScheme::kTwoPhaseLocking;
+  node.system.physical.cpu_distribution = db::ServiceDistribution::kErlang2;
+  node.dynamics.query_fraction =
       db::Schedule::Steps(0.30, {{333.0, 0.85}, {666.0, 0.30}});
-  scenario.active_terminals = db::Schedule::Sinusoid(600, 200, 500);
-  scenario.control.name = "incremental-steps";
-  scenario.control.is.beta = 1.25;
-  scenario.control.measurement_interval = 0.5;
-  scenario.duration = 700.0;
-  scenario.warmup = 50.0;
+  spec.active_terminals = db::Schedule::Sinusoid(600, 200, 500);
+  node.control.controller = "incremental-steps";
+  node.control.params.SetDouble("is.beta", 1.25);
+  node.control.measurement_interval = 0.5;
+  spec.duration = 700.0;
+  spec.warmup = 50.0;
 
-  const core::ExperimentSpec spec = core::SpecFromScenario(scenario);
   EXPECT_TRUE(RoundTrip(spec) == spec);
 }
 
@@ -315,7 +315,44 @@ TEST(SpecKeyTableTest, BoundsRejectOnParseAndOverrideAlike) {
       ++checked;
     }
   }
-  EXPECT_GE(checked, 35);
+  EXPECT_GE(checked, 48);
+}
+
+TEST(SpecKeyTableTest, ValuesComponentsWouldAbortOnAreRejected) {
+  // Each value passed the spec layer once and then failed a component
+  // check mid-run (a CPU pool of 0, a 0 s monitor interval, ...).
+  const std::pair<std::string, std::string> cases[] = {
+      {"node.physical.num_cpus", "0"},
+      {"node.physical.num_terminals", "0"},
+      {"node.logical.db_size", "0"},
+      {"placement.workload.db_size", "0"},
+      {"node.physical.io_time", "-1"},
+      {"node.control.measurement_interval", "0"},
+      {"node.control.initial_limit", "0"},
+      {"placement.num_partitions", "0"},
+      {"placement.replication_factor", "0"},
+      {"placement.rebalance_interval", "-1"},
+  };
+  const std::string cluster = "[experiment]\ncluster = true\n";
+  core::ExperimentSpec base;
+  std::string error;
+  ASSERT_TRUE(core::ParseSpec(cluster + "[node]\n", &base, &error)) << error;
+  for (const auto& [key, value] : cases) {
+    const size_t dot = key.find('.');
+    const std::string section = key.substr(0, dot);
+    const std::string line = key.substr(dot + 1) + " = " + value + "\n";
+    const std::string text =
+        section == "node" ? cluster + "[node]\n" + line
+                          : cluster + "[" + section + "]\n" + line + "[node]\n";
+    core::ExperimentSpec parsed;
+    EXPECT_FALSE(core::ParseSpec(text, &parsed, &error)) << key;
+    EXPECT_NE(error.find("must be"), std::string::npos) << error;
+
+    core::ExperimentSpec overridden = base;
+    EXPECT_FALSE(core::ApplySpecOverride(&overridden, key, value, &error))
+        << key;
+    EXPECT_NE(error.find("must be"), std::string::npos) << error;
+  }
 }
 
 // ------------------------------------------------- parser conveniences --
@@ -504,7 +541,7 @@ TEST(SpecOverrideTest, SeedOverrideRederivesNodeSeeds) {
 
   // Single-node: the node runs the new seed directly, so two overrides
   // produce genuinely different runs.
-  core::ExperimentSpec single = core::SpecFromScenario(core::DefaultScenario());
+  core::ExperimentSpec single = core::ParseSpecOrDie("[node]\n");
   single.duration = 10.0;
   single.warmup = 2.0;
   ASSERT_TRUE(core::ApplySpecOverride(&single, "seed", "5", &error));
@@ -604,17 +641,18 @@ TEST(SpecOverrideTest, UnknownPolicyNamesFailAtAssignTime) {
 
 // --------------------------------------------------- run equivalence --
 
-TEST(SpecRunTest, SpecPathMatchesLegacyScenarioPathBitExactly) {
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.system.seed = 99;
-  scenario.control.name = "parabola-approximation";
-  scenario.control.pa.dither = 10.0;
-  scenario.duration = 20.0;
-  scenario.warmup = 4.0;
+TEST(SpecRunTest, RunSpecMatchesDirectExperimentBitExactly) {
+  const core::ExperimentSpec spec = core::ParseSpecOrDie(
+      "[experiment]\n"
+      "seed = 99\n"
+      "duration = 20\n"
+      "warmup = 4\n"
+      "[node]\n"
+      "control.controller = parabola-approximation\n"
+      "control.pa.dither = 10\n");
 
-  const core::ExperimentResult direct = core::Experiment(scenario).Run();
-  const core::SpecRunResult via_spec =
-      core::RunSpec(core::SpecFromScenario(scenario));
+  const core::ExperimentResult direct = core::Experiment(spec).Run();
+  const core::SpecRunResult via_spec = core::RunSpec(spec);
 
   ASSERT_FALSE(via_spec.cluster);
   std::ostringstream direct_csv, spec_csv;
@@ -626,11 +664,11 @@ TEST(SpecRunTest, SpecPathMatchesLegacyScenarioPathBitExactly) {
 }
 
 TEST(SpecRunTest, PrintedSpecRunsIdenticallyToOriginal) {
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.system.seed = 7;
-  scenario.duration = 15.0;
-  scenario.warmup = 3.0;
-  const core::ExperimentSpec spec = core::SpecFromScenario(scenario);
+  core::ExperimentSpec spec;
+  spec.seed = 7;
+  spec.duration = 15.0;
+  spec.warmup = 3.0;
+  spec.nodes.emplace_back().system.seed = 7;
 
   core::ExperimentSpec reparsed;
   std::string error;

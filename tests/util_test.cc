@@ -5,6 +5,7 @@
 
 #include "util/csv.h"
 #include "util/math.h"
+#include "util/params.h"
 #include "util/strformat.h"
 #include "util/table.h"
 
@@ -170,6 +171,25 @@ TEST(MathTest, PolyEvalHorner) {
   EXPECT_NEAR(PolyEval({1.0, 2.0, 3.0}, 2.0), 17.0, 1e-12);
   EXPECT_NEAR(PolyEval({}, 5.0), 0.0, 1e-12);
   EXPECT_NEAR(PolyEval({7.0}, 123.0), 7.0, 1e-12);
+}
+
+TEST(ParseDoubleTest, SubnormalsRoundTripThroughFormatDouble) {
+  // The smallest subnormal: strtod flags ERANGE but returns the exact value.
+  const double tiny = 5e-324;
+  const std::string text = FormatDouble(tiny);
+  double parsed = 0.0;
+  ASSERT_TRUE(ParseDouble(text, &parsed)) << text;
+  EXPECT_EQ(parsed, tiny);
+  ASSERT_TRUE(ParseDouble("4.9406564584124654e-324", &parsed));
+  EXPECT_EQ(parsed, tiny);
+}
+
+TEST(ParseDoubleTest, RejectsOverflowAndUnderflowToZero) {
+  double parsed = 7.0;
+  EXPECT_FALSE(ParseDouble("1e400", &parsed));
+  EXPECT_FALSE(ParseDouble("-1e400", &parsed));
+  EXPECT_FALSE(ParseDouble("1e-400", &parsed));
+  EXPECT_EQ(parsed, 7.0);
 }
 
 }  // namespace

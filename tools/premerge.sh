@@ -16,6 +16,7 @@
 #      leave their marks in the manifest and decision audit
 #   5. perf_suite --smoke --check: the allocation pins (event engine,
 #      session source, cluster pools) must hold
+#   6. every examples/* binary runs to completion in a scratch directory
 #
 #   $ tools/premerge.sh            # uses ./build
 #   $ BUILD_DIR=build-rel tools/premerge.sh
@@ -88,5 +89,12 @@ grep -q 'degrade-ladder' "$OUT_DIR/fault-storm/decisions.csv"
 echo "== perf allocation pins"
 "./$BUILD_DIR/bench/perf_suite" --smoke --check \
   --out "$OUT_DIR/BENCH_perf.json" >/dev/null
+
+echo "== examples run"
+mkdir "$OUT_DIR/examples"
+for example in "$PWD/$BUILD_DIR"/examples/*; do
+  echo "   $(basename "$example")"
+  (cd "$OUT_DIR/examples" && "$example" >/dev/null)
+done
 
 echo "premerge: all gates passed"
