@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/check.h"
-
 namespace alc::cluster {
 
 ThresholdPolicy::Config ThresholdFromParams(const util::ParamMap& params) {
@@ -23,67 +21,42 @@ PowerOfDPolicy::Config PowerOfDFromParams(const util::ParamMap& params) {
   return config;
 }
 
-RoutingPolicyRegistry::RoutingPolicyRegistry() {
-  Register("round-robin", [](const RoutingPolicyContext&) {
+namespace {
+
+RoutingPolicyRegistry* NewRoutingPolicyRegistry() {
+  auto* registry = new RoutingPolicyRegistry("routing policy");
+  registry->Register("round-robin", [](const RoutingPolicyContext&) {
     return std::make_unique<RoundRobinPolicy>();
   });
-  Register("random", [](const RoutingPolicyContext& context) {
+  registry->Register("random", [](const RoutingPolicyContext& context) {
     return std::make_unique<RandomPolicy>(context.seed);
   });
-  Register("join-shortest-queue", [](const RoutingPolicyContext&) {
+  registry->Register("join-shortest-queue", [](const RoutingPolicyContext&) {
     return std::make_unique<JoinShortestQueuePolicy>();
   });
-  Register("threshold", [](const RoutingPolicyContext& context) {
+  registry->Register("threshold", [](const RoutingPolicyContext& context) {
     return std::make_unique<ThresholdPolicy>(
         ThresholdFromParams(*context.params));
   });
-  Register("power-of-d", [](const RoutingPolicyContext& context) {
+  registry->Register("power-of-d", [](const RoutingPolicyContext& context) {
     return std::make_unique<PowerOfDPolicy>(PowerOfDFromParams(*context.params),
                                             context.seed);
   });
-  Register("locality", [](const RoutingPolicyContext&) {
+  registry->Register("locality", [](const RoutingPolicyContext&) {
     return std::make_unique<LocalityPolicy>();
   });
-  Register("locality-threshold", [](const RoutingPolicyContext&) {
+  registry->Register("locality-threshold", [](const RoutingPolicyContext&) {
     return std::make_unique<LocalityThresholdPolicy>();
   });
+  return registry;
 }
 
-RoutingPolicyRegistry& RoutingPolicyRegistry::Global() {
-  static RoutingPolicyRegistry* registry = new RoutingPolicyRegistry();
+}  // namespace
+}  // namespace alc::cluster
+
+template <>
+alc::cluster::RoutingPolicyRegistry&
+alc::cluster::RoutingPolicyRegistry::Global() {
+  static Registry* registry = cluster::NewRoutingPolicyRegistry();
   return *registry;
 }
-
-bool RoutingPolicyRegistry::Register(const std::string& name,
-                                     RoutingPolicyFactory factory) {
-  ALC_CHECK(factory != nullptr);
-  return factories_.emplace(name, std::move(factory)).second;
-}
-
-bool RoutingPolicyRegistry::Contains(const std::string& name) const {
-  return factories_.count(name) > 0;
-}
-
-std::vector<std::string> RoutingPolicyRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
-}
-
-std::unique_ptr<RoutingPolicy> RoutingPolicyRegistry::Make(
-    const std::string& name, const RoutingPolicyContext& context,
-    std::string* error) const {
-  auto it = factories_.find(name);
-  if (it == factories_.end()) {
-    if (error != nullptr) {
-      *error = "unknown routing policy '" + name + "'; registered:";
-      for (const auto& [known, factory] : factories_) *error += " " + known;
-    }
-    return nullptr;
-  }
-  ALC_CHECK(context.params != nullptr);
-  return it->second(context);
-}
-
-}  // namespace alc::cluster

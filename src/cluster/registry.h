@@ -3,13 +3,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cluster/router.h"
 #include "util/params.h"
+#include "util/registry.h"
 
 namespace alc::cluster {
 
@@ -25,33 +24,10 @@ struct RoutingPolicyContext {
 using RoutingPolicyFactory =
     std::function<std::unique_ptr<RoutingPolicy>(const RoutingPolicyContext&)>;
 
-/// String-keyed factory registry for routing policies, mirroring
-/// control::ControllerRegistry: built-ins self-register, user code can add
-/// policies by name and select them through ExperimentSpec (`routing =
-/// <name>`) with no core edits. Registration must finish before
-/// concurrent Make() calls begin (the registry takes no locks).
-class RoutingPolicyRegistry {
- public:
-  static RoutingPolicyRegistry& Global();
-
-  /// False (and no change) when `name` is already taken.
-  bool Register(const std::string& name, RoutingPolicyFactory factory);
-
-  bool Contains(const std::string& name) const;
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-
-  /// Builds the named policy. Null on unknown name; `error` (optional)
-  /// then receives a message listing the registered names.
-  std::unique_ptr<RoutingPolicy> Make(const std::string& name,
-                                      const RoutingPolicyContext& context,
-                                      std::string* error = nullptr) const;
-
- private:
-  RoutingPolicyRegistry();
-
-  std::map<std::string, RoutingPolicyFactory> factories_;
-};
+/// The routing-policy family: round-robin, random, join-shortest-queue,
+/// threshold, power-of-d, locality and locality-threshold, plus whatever
+/// user code registers, selected by `routing`.
+using RoutingPolicyRegistry = util::Registry<RoutingPolicyFactory>;
 
 /// ParamMap readers for the built-in policy configs: each key the
 /// factories read ("threshold.min_threshold", "power-of-d.d") overrides the
@@ -60,5 +36,9 @@ ThresholdPolicy::Config ThresholdFromParams(const util::ParamMap& params);
 PowerOfDPolicy::Config PowerOfDFromParams(const util::ParamMap& params);
 
 }  // namespace alc::cluster
+
+template <>
+alc::cluster::RoutingPolicyRegistry&
+alc::cluster::RoutingPolicyRegistry::Global();
 
 #endif  // ALC_CLUSTER_REGISTRY_H_

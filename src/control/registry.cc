@@ -48,6 +48,28 @@ bool ParsePaRecoveryPolicy(std::string_view name, PaRecoveryPolicy* out) {
   return true;
 }
 
+bool CheckControllerParams(const util::ParamMap& params, std::string* error) {
+  const auto bad = [&](const char* key, const char* expected) {
+    *error = std::string(key) + ": expected " + expected + ", got '" +
+             *params.Find(key) + "'";
+    return false;
+  };
+  for (const char* key : {"is.index", "pa.index", "gs.index"}) {
+    const std::string* value = params.Find(key);
+    PerformanceIndex index;
+    if (value != nullptr && !ParsePerformanceIndex(*value, &index)) {
+      return bad(key,
+                 "throughput/inverse-response-time/effective-cpu-utilization");
+    }
+  }
+  const std::string* recovery = params.Find("pa.recovery");
+  PaRecoveryPolicy policy;
+  if (recovery != nullptr && !ParsePaRecoveryPolicy(*recovery, &policy)) {
+    return bad("pa.recovery", "hold/gradient/contract/reset");
+  }
+  return true;
+}
+
 IsConfig IsFromParams(const util::ParamMap& params) {
   IsConfig config;
   config.beta = params.GetDouble("is.beta", config.beta);
@@ -111,15 +133,18 @@ IyerRuleController::Config IyerFromParams(const util::ParamMap& params) {
   return config;
 }
 
-ControllerRegistry::ControllerRegistry() {
-  Register("none", [](const ControllerContext&) {
+namespace {
+
+ControllerRegistry* NewControllerRegistry() {
+  auto* registry = new ControllerRegistry("controller");
+  registry->Register("none", [](const ControllerContext&) {
     return std::make_unique<NoControlController>();
   });
-  Register("fixed", [](const ControllerContext& context) {
+  registry->Register("fixed", [](const ControllerContext& context) {
     return std::make_unique<FixedLimitController>(
         context.params->GetDouble("fixed.limit", 50.0));
   });
-  Register("tay-rule", [](const ControllerContext& context) {
+  registry->Register("tay-rule", [](const ControllerContext& context) {
     // The rule reads the *declared* workload descriptor k(t); without a
     // provider it degenerates to the constant default k.
     std::function<double(double)> k = context.k_of_time;
@@ -128,59 +153,33 @@ ControllerRegistry::ControllerRegistry() {
         context.db_size, std::move(k),
         context.params->GetDouble("tay.threshold", 1.5));
   });
-  Register("iyer-rule", [](const ControllerContext& context) {
+  registry->Register("iyer-rule", [](const ControllerContext& context) {
     return std::make_unique<IyerRuleController>(
         IyerFromParams(*context.params));
   });
-  Register("incremental-steps", [](const ControllerContext& context) {
-    return std::make_unique<IncrementalStepsController>(
-        IsFromParams(*context.params));
-  });
-  Register("parabola-approximation", [](const ControllerContext& context) {
-    return std::make_unique<ParabolaApproximationController>(
-        PaFromParams(*context.params));
-  });
-  Register("golden-section", [](const ControllerContext& context) {
-    return std::make_unique<GoldenSectionController>(
-        GsFromParams(*context.params));
-  });
+  registry->Register("incremental-steps",
+                     [](const ControllerContext& context) {
+                       return std::make_unique<IncrementalStepsController>(
+                           IsFromParams(*context.params));
+                     });
+  registry->Register("parabola-approximation",
+                     [](const ControllerContext& context) {
+                       return std::make_unique<ParabolaApproximationController>(
+                           PaFromParams(*context.params));
+                     });
+  registry->Register("golden-section",
+                     [](const ControllerContext& context) {
+                       return std::make_unique<GoldenSectionController>(
+                           GsFromParams(*context.params));
+                     });
+  return registry;
 }
 
-ControllerRegistry& ControllerRegistry::Global() {
-  static ControllerRegistry* registry = new ControllerRegistry();
+}  // namespace
+}  // namespace alc::control
+
+template <>
+alc::control::ControllerRegistry& alc::control::ControllerRegistry::Global() {
+  static Registry* registry = control::NewControllerRegistry();
   return *registry;
 }
-
-bool ControllerRegistry::Register(const std::string& name,
-                                  ControllerFactory factory) {
-  ALC_CHECK(factory != nullptr);
-  return factories_.emplace(name, std::move(factory)).second;
-}
-
-bool ControllerRegistry::Contains(const std::string& name) const {
-  return factories_.count(name) > 0;
-}
-
-std::vector<std::string> ControllerRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
-}
-
-std::unique_ptr<LoadController> ControllerRegistry::Make(
-    const std::string& name, const ControllerContext& context,
-    std::string* error) const {
-  auto it = factories_.find(name);
-  if (it == factories_.end()) {
-    if (error != nullptr) {
-      *error = "unknown controller '" + name + "'; registered:";
-      for (const auto& [known, factory] : factories_) *error += " " + known;
-    }
-    return nullptr;
-  }
-  ALC_CHECK(context.params != nullptr);
-  return it->second(context);
-}
-
-}  // namespace alc::control

@@ -2,11 +2,9 @@
 #define ALC_CONTROL_REGISTRY_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "control/controller.h"
 #include "control/golden_section.h"
@@ -14,6 +12,7 @@
 #include "control/parabola.h"
 #include "control/rules.h"
 #include "util/params.h"
+#include "util/registry.h"
 
 namespace alc::control {
 
@@ -31,39 +30,10 @@ struct ControllerContext {
 using ControllerFactory =
     std::function<std::unique_ptr<LoadController>(const ControllerContext&)>;
 
-/// String-keyed factory registry for load controllers. The built-in zoo
-/// (none, fixed, tay-rule, iyer-rule, incremental-steps,
-/// parabola-approximation, golden-section) self-registers; user code — an
-/// example binary, a bench, a test — registers additional policies with
-/// Register() and then runs them through the standard ExperimentSpec path
-/// by name (`control.controller = <name>`), with no core edits.
-///
-/// Registration must finish before concurrent Make() calls begin (the sweep
-/// runner constructs controllers from worker threads; the registry itself
-/// takes no locks).
-class ControllerRegistry {
- public:
-  /// The process-wide registry, built-ins pre-registered.
-  static ControllerRegistry& Global();
-
-  /// False (and no change) when `name` is already taken.
-  bool Register(const std::string& name, ControllerFactory factory);
-
-  bool Contains(const std::string& name) const;
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-
-  /// Builds the named controller. Null on unknown name; `error` (optional)
-  /// then receives a message listing the registered names.
-  std::unique_ptr<LoadController> Make(const std::string& name,
-                                       const ControllerContext& context,
-                                       std::string* error = nullptr) const;
-
- private:
-  ControllerRegistry();
-
-  std::map<std::string, ControllerFactory> factories_;
-};
+/// The controller family: the built-in zoo (none, fixed, tay-rule,
+/// iyer-rule, incremental-steps, parabola-approximation, golden-section)
+/// plus whatever user code registers, selected by `control.controller`.
+using ControllerRegistry = util::Registry<ControllerFactory>;
 
 /// ParamMap readers for the built-in controller configs: each key the
 /// factories read ("is.beta", "pa.dither", "gs.min_bound", "iyer.gain",
@@ -78,6 +48,15 @@ IyerRuleController::Config IyerFromParams(const util::ParamMap& params);
 bool ParsePerformanceIndex(std::string_view name, PerformanceIndex* out);
 bool ParsePaRecoveryPolicy(std::string_view name, PaRecoveryPolicy* out);
 
+/// Checks the enum-valued keys the readers parse ("is.index", "pa.index",
+/// "gs.index", "pa.recovery"), so a bad value is refused with the spec
+/// instead of failing a CHECK when the controller is built. False with
+/// `error` naming the key on the first bad value.
+bool CheckControllerParams(const util::ParamMap& params, std::string* error);
+
 }  // namespace alc::control
+
+template <>
+alc::control::ControllerRegistry& alc::control::ControllerRegistry::Global();
 
 #endif  // ALC_CONTROL_REGISTRY_H_

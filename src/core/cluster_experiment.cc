@@ -13,7 +13,6 @@
 #include "fault/fault.h"
 #include "sim/simulator.h"
 #include "util/check.h"
-#include "util/logging.h"
 #include "workload/registry.h"
 
 namespace alc::core {
@@ -141,14 +140,9 @@ ClusterResult ClusterExperiment::Run() {
   source_context.spec = &spec_.workload;
   source_context.arrival_rate = spec_.arrival_rate;
   source_context.seed = spec_.seed;
-  std::string source_error;
   std::unique_ptr<workload::WorkloadSource> source =
-      workload::WorkloadRegistry::Global().Make(
-          spec_.workload.source, source_context, &source_error);
-  if (source == nullptr) {
-    ALC_LOG(kError, source_error);
-    ALC_CHECK(source != nullptr);
-  }
+      workload::WorkloadRegistry::Global().Get(spec_.workload.source)(
+          source_context);
   workload::WorkloadSource* workload_source = source.get();
   cluster.SetWorkloadSource(std::move(source));
 

@@ -1,6 +1,5 @@
 #include "core/experiment_spec.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "cluster/registry.h"
@@ -16,16 +15,8 @@ std::unique_ptr<control::LoadController> MakeController(const NodeSpec& node) {
   // The Tay rule reads the *declared* workload descriptor k(t).
   db::Schedule k_schedule = node.dynamics.k;
   context.k_of_time = [k_schedule](double t) { return k_schedule.Value(t); };
-
-  std::string error;
-  std::unique_ptr<control::LoadController> controller =
-      control::ControllerRegistry::Global().Make(node.control.controller,
-                                                 context, &error);
-  if (controller == nullptr) {
-    std::fprintf(stderr, "MakeController: %s\n", error.c_str());
-    ALC_CHECK(controller != nullptr);
-  }
-  return controller;
+  return control::ControllerRegistry::Global().Get(node.control.controller)(
+      context);
 }
 
 std::unique_ptr<cluster::RoutingPolicy> MakeRoutingPolicy(
@@ -33,16 +24,7 @@ std::unique_ptr<cluster::RoutingPolicy> MakeRoutingPolicy(
   cluster::RoutingPolicyContext context;
   context.params = &spec.routing_params;
   context.seed = spec.seed;
-
-  std::string error;
-  std::unique_ptr<cluster::RoutingPolicy> policy =
-      cluster::RoutingPolicyRegistry::Global().Make(spec.routing, context,
-                                                    &error);
-  if (policy == nullptr) {
-    std::fprintf(stderr, "MakeRoutingPolicy: %s\n", error.c_str());
-    ALC_CHECK(policy != nullptr);
-  }
-  return policy;
+  return cluster::RoutingPolicyRegistry::Global().Get(spec.routing)(context);
 }
 
 uint64_t DecorrelatedNodeSeed(uint64_t base, int node_index) {

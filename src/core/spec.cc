@@ -5,6 +5,7 @@
 #include <climits>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -19,6 +20,7 @@
 #include "elasticity/autoscaler.h"
 #include "fault/fault.h"
 #include "util/check.h"
+#include "util/registry.h"
 #include "workload/registry.h"
 
 namespace alc::core {
@@ -29,20 +31,6 @@ using util::TrimWhitespace;
 
 bool HasPrefix(const std::string& text, const char* prefix) {
   return text.rfind(prefix, 0) == 0;
-}
-
-/// Registry membership check shared by the policy-name keys: unknown
-/// names fail at assign time with the registered names listed, instead of
-/// aborting deep inside the run. Names must therefore be registered before
-/// specs referencing them are parsed.
-template <typename Registry>
-bool Registered(const char* what, const std::string& name,
-                std::string* error) {
-  const Registry& registry = Registry::Global();
-  if (registry.Contains(name)) return true;
-  *error = std::string("unknown ") + what + " '" + name + "'; registered:";
-  for (const std::string& known : registry.Names()) *error += " " + known;
-  return false;
 }
 
 using ScheduleMap = std::map<std::string, db::Schedule>;
@@ -231,9 +219,11 @@ struct KeyEntry {
   Names names;  // the accepted values of a kEnum or kString key, if listed
   size_t (*enum_index)(const void* field) = nullptr;
   void (*set_enum)(void* field, size_t index) = nullptr;
-  const char* what = nullptr;  // kRegistry: the registry's noun
-  bool (*registered)(const char* what, const std::string& name,
-                     std::string* error) = nullptr;
+  /// kRegistry: the registry's noun and its membership check, which
+  /// fails with the registered names listed. Names must therefore be
+  /// registered before specs referencing them are parsed.
+  std::string noun;
+  std::function<bool(const std::string& name, std::string* error)> known;
 };
 
 /// An entry for the field reached through `Path` from its sub-table's
@@ -260,11 +250,13 @@ KeyEntry OneOf(KeyEntry entry, Names names) {
   return entry;
 }
 
-template <typename Registry>
-KeyEntry InRegistry(KeyEntry entry, const char* what) {
+template <typename T>
+KeyEntry InRegistry(KeyEntry entry, const util::Registry<T>& registry) {
   entry.type = Type::kRegistry;
-  entry.what = what;
-  entry.registered = &Registered<Registry>;
+  entry.noun = registry.noun();
+  entry.known = [&registry](const std::string& name, std::string* error) {
+    return registry.Find(name, error) != nullptr;
+  };
   return entry;
 }
 
@@ -339,8 +331,8 @@ class KeyTable {
             Key<&S::warmup>("warmup"),
             Key<&S::active_terminals>("active_terminals"),
             Key<&S::arrival_rate>("arrival_rate"),
-            InRegistry<cluster::RoutingPolicyRegistry>(
-                Key<&S::routing>("routing"), "routing policy"),
+            InRegistry(Key<&S::routing>("routing"),
+                       cluster::RoutingPolicyRegistry::Global()),
             Key<&S::routing_params>("routing."),
             Key<&S::trace_path>("trace"),
             Key<&S::decisions_path>("decisions"),
@@ -382,8 +374,8 @@ class KeyTable {
     using W = workload::WorkloadSpec;
     Add(Section::kWorkload, "", &Via<&S::workload>,
         {
-            InRegistry<workload::WorkloadRegistry>(Key<&W::source>("source"),
-                                                   "workload source"),
+            InRegistry(Key<&W::source>("source"),
+                       workload::WorkloadRegistry::Global()),
             Key<&W::population>("population", AtLeast(1)),
             Key<&W::session_rate>("session_rate"),
             Key<&W::sessions>("sessions", AtLeast(1)),
@@ -444,8 +436,8 @@ class KeyTable {
     // scaler_params["pi.kp"]); the consuming factory validates them.
     Add(Section::kElasticity, "", &Via<&S::elasticity>,
         {
-            InRegistry<elasticity::AutoscalerRegistry>(
-                Key<&E::scaler>("scaler"), "autoscaler"),
+            InRegistry(Key<&E::scaler>("scaler"),
+                       elasticity::AutoscalerRegistry::Global()),
             Key<&E::scaler_interval>("scaler_interval", Above(0)),
             Key<&E::standby>("standby", AtLeast(0)),
             Key<&E::min_live>("min_live", AtLeast(1)),
@@ -506,8 +498,8 @@ class KeyTable {
     // define their own.
     Add(Section::kNode, "control.", &Via<&N::control>,
         {
-            InRegistry<control::ControllerRegistry>(
-                Key<&ControlSpec::controller>("controller"), "controller"),
+            InRegistry(Key<&ControlSpec::controller>("controller"),
+                       control::ControllerRegistry::Global()),
             Key<&ControlSpec::measurement_interval>("measurement_interval",
                                                     Above(0)),
             Key<&ControlSpec::initial_limit>("initial_limit", Above(0)),
@@ -662,7 +654,7 @@ bool Assign(const KeyEntry& entry, const std::string& key, void* owner,
       return store(parsed);
     }
     case Type::kRegistry:
-      if (!entry.registered(entry.what, value, error)) return false;
+      if (!entry.known(value, error)) return false;
       return store(value);
     case Type::kParams:
       static_cast<util::ParamMap*>(field())->Set(key.substr(entry.key.size()),
@@ -672,8 +664,7 @@ bool Assign(const KeyEntry& entry, const std::string& key, void* owner,
       fault::FaultSpec parsed;
       std::string message;
       if (!fault::ParseFaultSpec(value, &parsed, &message)) return fail(message);
-      if (!Registered<fault::FaultRegistry>("fault kind", parsed.kind,
-                                            error)) {
+      if (fault::FaultRegistry::Global().Find(parsed.kind, error) == nullptr) {
         return false;
       }
       static_cast<std::vector<fault::FaultSpec>*>(field())->push_back(
@@ -949,6 +940,10 @@ bool ValidateSpec(const ExperimentSpec& spec, std::string* error) {
   const int fleet = static_cast<int>(spec.nodes.size());
   const std::string single = " requires cluster mode (cluster = true)";
   if (fleet == 0) return fail("spec declares no [node] section");
+  if (!(spec.duration > 0.0)) return fail("duration must be > 0");
+  if (!(spec.warmup >= 0.0 && spec.warmup < spec.duration)) {
+    return fail("warmup must satisfy 0 <= warmup < duration");
+  }
   if (!spec.cluster) {
     if (fleet != 1) {
       return fail(
@@ -984,6 +979,27 @@ bool ValidateSpec(const ExperimentSpec& spec, std::string* error) {
   if (spec.degrade.enabled &&
       spec.degrade.shed_update < spec.degrade.shed_query) {
     return fail("degrade.shed_update must be >= degrade.shed_query");
+  }
+  for (int i = 0; i < fleet; ++i) {
+    std::string message;
+    if (!control::CheckControllerParams(spec.nodes[i].control.params,
+                                        &message)) {
+      return fail("node " + std::to_string(i) + " control." + message);
+    }
+  }
+  if (spec.placement_enabled) {
+    // Matching aborts exist in the PlacementCatalog constructor.
+    const placement::PlacementConfig& placement = spec.placement;
+    if (static_cast<uint32_t>(placement.num_partitions) >
+        spec.placement_workload.db_size) {
+      return fail(
+          "placement.num_partitions must be <= placement.workload.db_size");
+    }
+    if (placement.rebalance_interval > 0.0 && placement.rebalance_moves < 1) {
+      return fail(
+          "placement.rebalance_moves must be >= 1 when "
+          "placement.rebalance_interval > 0");
+    }
   }
   for (const fault::FaultSpec& injected : spec.fault.faults) {
     if (injected.start < 0.0 || injected.end <= injected.start) {
@@ -1142,7 +1158,7 @@ std::vector<SpecKeyInfo> SpecKeys() {
       }
       switch (entry.type) {
         case Type::kRegistry:
-          info.bound = std::string("registered ") + entry.what;
+          info.bound = "registered " + entry.noun;
           break;
         case Type::kParams:
           info.key += entry.key.empty() ? "*.*" : "*";

@@ -113,54 +113,29 @@ PiAutoscaler::Config PiFromParams(const util::ParamMap& params) {
   return config;
 }
 
-AutoscalerRegistry::AutoscalerRegistry() {
-  Register("none", [](const AutoscalerContext&) {
+namespace {
+
+AutoscalerRegistry* NewAutoscalerRegistry() {
+  auto* registry = new AutoscalerRegistry("autoscaler");
+  registry->Register("none", [](const AutoscalerContext&) {
     return std::make_unique<NoneAutoscaler>();
   });
-  Register("hysteresis", [](const AutoscalerContext& context) {
+  registry->Register("hysteresis", [](const AutoscalerContext& context) {
     return std::make_unique<HysteresisAutoscaler>(
         HysteresisFromParams(*context.params));
   });
-  Register("pi", [](const AutoscalerContext& context) {
+  registry->Register("pi", [](const AutoscalerContext& context) {
     return std::make_unique<PiAutoscaler>(PiFromParams(*context.params));
   });
+  return registry;
 }
 
-AutoscalerRegistry& AutoscalerRegistry::Global() {
-  static AutoscalerRegistry* registry = new AutoscalerRegistry();
+}  // namespace
+}  // namespace alc::elasticity
+
+template <>
+alc::elasticity::AutoscalerRegistry&
+alc::elasticity::AutoscalerRegistry::Global() {
+  static Registry* registry = elasticity::NewAutoscalerRegistry();
   return *registry;
 }
-
-bool AutoscalerRegistry::Register(const std::string& name,
-                                  AutoscalerFactory factory) {
-  ALC_CHECK(factory != nullptr);
-  return factories_.emplace(name, std::move(factory)).second;
-}
-
-bool AutoscalerRegistry::Contains(const std::string& name) const {
-  return factories_.count(name) > 0;
-}
-
-std::vector<std::string> AutoscalerRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
-}
-
-std::unique_ptr<AutoscalerPolicy> AutoscalerRegistry::Make(
-    const std::string& name, const AutoscalerContext& context,
-    std::string* error) const {
-  auto it = factories_.find(name);
-  if (it == factories_.end()) {
-    if (error != nullptr) {
-      *error = "unknown autoscaler '" + name + "'; registered:";
-      for (const auto& [known, factory] : factories_) *error += " " + known;
-    }
-    return nullptr;
-  }
-  ALC_CHECK(context.params != nullptr);
-  return it->second(context);
-}
-
-}  // namespace alc::elasticity

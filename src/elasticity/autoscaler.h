@@ -1,16 +1,14 @@
 #ifndef ALC_ELASTICITY_AUTOSCALER_H_
 #define ALC_ELASTICITY_AUTOSCALER_H_
 
-#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "control/controller.h"
 #include "util/params.h"
+#include "util/registry.h"
 
 namespace alc::elasticity {
 
@@ -128,38 +126,18 @@ class PiAutoscaler : public AutoscalerPolicy {
   double last_drive_ = 0.0;
 };
 
-/// What an autoscaler factory may consume, mirroring RoutingPolicyContext.
+/// What an autoscaler factory may consume: its parameters
+/// ("hysteresis.cooldown", "pi.kp", ...).
 struct AutoscalerContext {
   const util::ParamMap* params = nullptr;  // never null inside a factory
-  uint64_t seed = 0;
 };
 
 using AutoscalerFactory =
     std::function<std::unique_ptr<AutoscalerPolicy>(const AutoscalerContext&)>;
 
-/// String-keyed factory registry for autoscaler policies, mirroring
-/// cluster::RoutingPolicyRegistry: built-ins ("none", "hysteresis", "pi")
-/// self-register; user code adds policies by name and selects them through
-/// the [elasticity] spec section with no core edits. Registration must
-/// finish before concurrent Make() calls begin (no locks).
-class AutoscalerRegistry {
- public:
-  static AutoscalerRegistry& Global();
-
-  bool Register(const std::string& name, AutoscalerFactory factory);
-
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
-  std::unique_ptr<AutoscalerPolicy> Make(const std::string& name,
-                                         const AutoscalerContext& context,
-                                         std::string* error = nullptr) const;
-
- private:
-  AutoscalerRegistry();
-
-  std::map<std::string, AutoscalerFactory> factories_;
-};
+/// The autoscaler family: none, hysteresis and pi, plus whatever user code
+/// registers, selected by `[elasticity] scaler`.
+using AutoscalerRegistry = util::Registry<AutoscalerFactory>;
 
 /// ParamMap readers for the built-in scaler configs: each key the factories
 /// read ("hysteresis.cooldown", "pi.kp", ...) overrides the struct default.
@@ -167,5 +145,9 @@ HysteresisAutoscaler::Config HysteresisFromParams(const util::ParamMap& params);
 PiAutoscaler::Config PiFromParams(const util::ParamMap& params);
 
 }  // namespace alc::elasticity
+
+template <>
+alc::elasticity::AutoscalerRegistry&
+alc::elasticity::AutoscalerRegistry::Global();
 
 #endif  // ALC_ELASTICITY_AUTOSCALER_H_

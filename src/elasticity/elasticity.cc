@@ -42,13 +42,7 @@ ElasticityController::ElasticityController(sim::Simulator* sim,
   if (config.detector) ALC_CHECK(cluster->managed_membership());
   AutoscalerContext context;
   context.params = &config_.scaler_params;
-  context.seed = seed;
-  std::string error;
-  scaler_ = AutoscalerRegistry::Global().Make(config_.scaler, context, &error);
-  if (scaler_ == nullptr) {
-    ALC_LOG(kError, error);
-    ALC_CHECK(scaler_ != nullptr);
-  }
+  scaler_ = AutoscalerRegistry::Global().Get(config_.scaler)(context);
   scaling_enabled_ = config_.scaler != "none";
   for (int i = 0; i < cluster_->size(); ++i) {
     if (cluster_->node_state(i) == cluster::NodeState::kStandby) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace alc::fault {
 
@@ -86,6 +85,17 @@ const char* InternReason(const std::string& reason) {
   return pool->insert(reason).first->c_str();
 }
 
+FaultRegistry* NewFaultRegistry() {
+  auto* registry = new FaultRegistry("fault kind");
+  registry->Register("probe-delay", std::make_unique<ProbeDelayFault>());
+  registry->Register("probe-loss", std::make_unique<ProbeLossFault>());
+  registry->Register("partition", std::make_unique<PartitionFault>());
+  registry->Register("disk-stall", std::make_unique<DiskStallFault>());
+  registry->Register("cpu-degrade", std::make_unique<CpuDegradeFault>());
+  registry->Register("crash-burst", std::make_unique<CrashBurstFault>());
+  return registry;
+}
+
 }  // namespace
 
 void FaultKind::Contribute(const FaultSpec& /*spec*/,
@@ -93,48 +103,6 @@ void FaultKind::Contribute(const FaultSpec& /*spec*/,
 void FaultKind::OnStart(const FaultSpec& /*spec*/,
                         FaultHost* /*host*/) const {}
 void FaultKind::OnEnd(const FaultSpec& /*spec*/, FaultHost* /*host*/) const {}
-
-FaultRegistry::FaultRegistry() {
-  Register("probe-delay", std::make_unique<ProbeDelayFault>());
-  Register("probe-loss", std::make_unique<ProbeLossFault>());
-  Register("partition", std::make_unique<PartitionFault>());
-  Register("disk-stall", std::make_unique<DiskStallFault>());
-  Register("cpu-degrade", std::make_unique<CpuDegradeFault>());
-  Register("crash-burst", std::make_unique<CrashBurstFault>());
-}
-
-FaultRegistry& FaultRegistry::Global() {
-  static FaultRegistry* registry = new FaultRegistry();
-  return *registry;
-}
-
-void FaultRegistry::Register(const std::string& name,
-                             std::unique_ptr<FaultKind> kind) {
-  ALC_CHECK(kind != nullptr);
-  kinds_[name] = std::move(kind);
-}
-
-bool FaultRegistry::Contains(const std::string& name) const {
-  return kinds_.find(name) != kinds_.end();
-}
-
-std::vector<std::string> FaultRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(kinds_.size());
-  for (const auto& [name, kind] : kinds_) names.push_back(name);
-  return names;
-}
-
-const FaultKind* FaultRegistry::Find(const std::string& name,
-                                     std::string* error) const {
-  auto it = kinds_.find(name);
-  if (it != kinds_.end()) return it->second.get();
-  if (error != nullptr) {
-    *error = "unknown fault kind '" + name + "'; registered:";
-    for (const std::string& known : Names()) *error += " " + known;
-  }
-  return nullptr;
-}
 
 FaultInjector::FaultInjector(sim::Simulator* simulator, FaultHost* host,
                              const FaultConfig& config, uint64_t seed,
@@ -152,12 +120,7 @@ FaultInjector::FaultInjector(sim::Simulator* simulator, FaultHost* host,
   for (const FaultSpec& spec : config.faults) {
     Entry entry;
     entry.spec = spec;
-    std::string error;
-    entry.kind = FaultRegistry::Global().Find(spec.kind, &error);
-    if (entry.kind == nullptr) {
-      ALC_LOG(kError, error);
-      ALC_CHECK(entry.kind != nullptr);
-    }
+    entry.kind = FaultRegistry::Global().Get(spec.kind).get();
     entry.start_reason = InternReason(spec.kind + "-start");
     entry.end_reason = InternReason(spec.kind + "-end");
     entries_.push_back(std::move(entry));
@@ -259,3 +222,9 @@ void FaultInjector::RegisterMetrics(telemetry::MetricRegistry* registry) const {
 }
 
 }  // namespace alc::fault
+
+template <>
+alc::fault::FaultRegistry& alc::fault::FaultRegistry::Global() {
+  static Registry* registry = fault::NewFaultRegistry();
+  return *registry;
+}

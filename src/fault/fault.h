@@ -2,7 +2,6 @@
 #define ALC_FAULT_FAULT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "telemetry/audit.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
+#include "util/registry.h"
 
 namespace alc::fault {
 
@@ -70,10 +70,7 @@ class FaultKind {
   virtual void OnEnd(const FaultSpec& spec, FaultHost* host) const;
 };
 
-/// Name -> FaultKind registry, mirroring AutoscalerRegistry: built-ins are
-/// registered by the constructor, external kinds can be added before spec
-/// validation. Registered names are valid in `[fault] inject = ...` lines.
-///
+/// The fault-kind family, selected by `[fault] inject = <kind>(...)`.
 /// Built-in kinds (magnitude semantics in parentheses):
 ///   probe-delay  — additive heartbeat-probe RTT spike (seconds)
 ///   probe-loss   — per-probe loss probability (in [0, 1])
@@ -82,22 +79,7 @@ class FaultKind {
 ///   cpu-degrade  — CPU speed multiplier (> 0, e.g. 0.5 = half speed)
 ///   crash-burst  — correlated crash of the node set at start, repair at
 ///                  end (-)
-class FaultRegistry {
- public:
-  FaultRegistry();
-
-  static FaultRegistry& Global();
-
-  void Register(const std::string& name, std::unique_ptr<FaultKind> kind);
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
-  /// Null (with `error` set to the registered names) on unknown kinds.
-  const FaultKind* Find(const std::string& name, std::string* error) const;
-
- private:
-  std::map<std::string, std::unique_ptr<FaultKind>> kinds_;
-};
+using FaultRegistry = util::Registry<std::unique_ptr<FaultKind>>;
 
 /// Spec-driven fault injector. Start() schedules one event per window
 /// edge on the shared simulator queue; each edge recomputes the affected
@@ -169,5 +151,8 @@ class FaultInjector : public elasticity::ProbePerturber {
 };
 
 }  // namespace alc::fault
+
+template <>
+alc::fault::FaultRegistry& alc::fault::FaultRegistry::Global();
 
 #endif  // ALC_FAULT_FAULT_H_

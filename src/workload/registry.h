@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <string>
-#include <vector>
 
+#include "util/registry.h"
 #include "workload/source.h"
 
 namespace alc::workload {
@@ -24,35 +22,13 @@ struct WorkloadSourceContext {
 using WorkloadSourceFactory =
     std::function<std::unique_ptr<WorkloadSource>(const WorkloadSourceContext&)>;
 
-/// String-keyed factory registry for workload sources, mirroring
-/// RoutingPolicyRegistry / ControllerRegistry: built-ins ("open", "closed",
-/// "hybrid") self-register, user code adds sources by name and selects
-/// them through `[workload] source = name` with no core edits.
-/// Registration must finish before concurrent Make() calls begin (the
-/// registry takes no locks).
-class WorkloadRegistry {
- public:
-  static WorkloadRegistry& Global();
-
-  /// False (and no change) when `name` is already taken.
-  bool Register(const std::string& name, WorkloadSourceFactory factory);
-
-  bool Contains(const std::string& name) const;
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-
-  /// Builds the named source. Null on unknown name; `error` (optional)
-  /// then receives a message listing the registered names.
-  std::unique_ptr<WorkloadSource> Make(const std::string& name,
-                                       const WorkloadSourceContext& context,
-                                       std::string* error = nullptr) const;
-
- private:
-  WorkloadRegistry();
-
-  std::map<std::string, WorkloadSourceFactory> factories_;
-};
+/// The workload-source family: open, closed and hybrid, plus whatever
+/// user code registers, selected by `[workload] source`.
+using WorkloadRegistry = util::Registry<WorkloadSourceFactory>;
 
 }  // namespace alc::workload
+
+template <>
+alc::workload::WorkloadRegistry& alc::workload::WorkloadRegistry::Global();
 
 #endif  // ALC_WORKLOAD_REGISTRY_H_

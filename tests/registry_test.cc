@@ -1,16 +1,16 @@
-// Controller and routing-policy registries: built-in coverage, the
-// deprecated enums' alias names, unknown-name and duplicate-registration
-// errors, the typed-config param readers, and external registration
-// running through the standard ExperimentSpec path with no core edits.
+// Controller and routing-policy registries: the built-in names, the
+// typed-config param readers, and external registration running through
+// the standard ExperimentSpec path with no core edits. The registry
+// template itself is tested in util_test.
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/registry.h"
-#include "control/fixed.h"
 #include "control/registry.h"
 #include "core/cluster_experiment.h"
 #include "core/spec.h"
@@ -21,12 +21,10 @@ namespace {
 // ------------------------------------------------------------ controllers --
 
 TEST(ControllerRegistryTest, BuiltinsAreRegistered) {
-  auto& registry = control::ControllerRegistry::Global();
-  for (const char* name :
-       {"none", "fixed", "tay-rule", "iyer-rule", "incremental-steps",
-        "parabola-approximation", "golden-section"}) {
-    EXPECT_TRUE(registry.Contains(name)) << name;
-  }
+  EXPECT_EQ(control::ControllerRegistry::Global().Names(),
+            (std::vector<std::string>{"fixed", "golden-section",
+                                      "incremental-steps", "iyer-rule", "none",
+                                      "parabola-approximation", "tay-rule"}));
 }
 
 TEST(ControllerRegistryTest, BuiltInNamesReachTheExpectedFactories) {
@@ -45,35 +43,6 @@ TEST(ControllerRegistryTest, BuiltInNamesReachTheExpectedFactories) {
   }
 }
 
-TEST(ControllerRegistryTest, UnknownNameReportsRegisteredNames) {
-  util::ParamMap params;
-  control::ControllerContext context;
-  context.params = &params;
-  std::string error;
-  EXPECT_EQ(control::ControllerRegistry::Global().Make("warp-drive", context,
-                                                       &error),
-            nullptr);
-  EXPECT_NE(error.find("warp-drive"), std::string::npos) << error;
-  EXPECT_NE(error.find("parabola-approximation"), std::string::npos) << error;
-}
-
-TEST(ControllerRegistryTest, DuplicateRegistrationIsRejected) {
-  auto& registry = control::ControllerRegistry::Global();
-  EXPECT_FALSE(registry.Register("fixed", [](const control::ControllerContext&)
-                                     -> std::unique_ptr<control::LoadController> {
-    return std::make_unique<control::NoControlController>();
-  }));
-  // The original factory survives: "fixed" still builds a fixed limiter.
-  util::ParamMap params;
-  params.SetDouble("fixed.limit", 33.0);
-  control::ControllerContext context;
-  context.params = &params;
-  std::unique_ptr<control::LoadController> controller =
-      registry.Make("fixed", context);
-  ASSERT_NE(controller, nullptr);
-  EXPECT_EQ(controller->bound(), 33.0);
-}
-
 TEST(ControllerRegistryTest, ParamReadersParseTypedConfigs) {
   util::ParamMap params;
   params.Set("pa.forgetting", "0.91");
@@ -85,6 +54,10 @@ TEST(ControllerRegistryTest, ParamReadersParseTypedConfigs) {
   EXPECT_EQ(pa.dither, 4.5);
   EXPECT_EQ(pa.recovery, control::PaRecoveryPolicy::kContract);
   EXPECT_EQ(pa.index, control::PerformanceIndex::kInverseResponseTime);
+  // The spec-time check accepts every value the readers parse (it refuses
+  // the rest: SpecOverrideTest.ChainIsValidatedAsAWhole).
+  std::string error;
+  EXPECT_TRUE(control::CheckControllerParams(params, &error)) << error;
   // Keys left unset keep the struct defaults.
   EXPECT_EQ(pa.max_bound, control::PaConfig().max_bound);
 
@@ -102,6 +75,7 @@ TEST(ControllerRegistryTest, ParamReadersParseTypedConfigs) {
   const control::GsConfig gs = control::GsFromParams(gs_params);
   EXPECT_EQ(gs.samples_per_probe, 7);
   EXPECT_EQ(gs.index, control::PerformanceIndex::kEffectiveCpuUtilization);
+  EXPECT_TRUE(control::CheckControllerParams(gs_params, &error)) << error;
 
   util::ParamMap iyer_params;
   iyer_params.Set("iyer.gain", "60");
@@ -158,36 +132,20 @@ TEST(ControllerRegistryTest, ExternalControllerRunsThroughSpecPath) {
 
 TEST(RoutingRegistryTest, BuiltinsAreRegisteredUnderTheirNames) {
   auto& registry = cluster::RoutingPolicyRegistry::Global();
-  for (const char* name :
-       {"round-robin", "random", "join-shortest-queue", "threshold",
-        "power-of-d", "locality", "locality-threshold"}) {
-    ASSERT_TRUE(registry.Contains(name)) << name;
+  const std::vector<std::string> builtins = {
+      "join-shortest-queue", "locality", "locality-threshold", "power-of-d",
+      "random",              "round-robin", "threshold"};
+  EXPECT_EQ(registry.Names(), builtins);
+  for (const std::string& name : builtins) {
     util::ParamMap params;
     cluster::RoutingPolicyContext context;
     context.params = &params;
     context.seed = 1;
     std::unique_ptr<cluster::RoutingPolicy> policy =
-        registry.Make(name, context);
+        registry.Get(name)(context);
     ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(policy->name(), std::string_view(name));
+    EXPECT_EQ(policy->name(), name);
   }
-}
-
-TEST(RoutingRegistryTest, UnknownNameAndDuplicateRegistration) {
-  auto& registry = cluster::RoutingPolicyRegistry::Global();
-  util::ParamMap params;
-  cluster::RoutingPolicyContext context;
-  context.params = &params;
-  std::string error;
-  EXPECT_EQ(registry.Make("teleport", context, &error), nullptr);
-  EXPECT_NE(error.find("teleport"), std::string::npos) << error;
-  EXPECT_NE(error.find("join-shortest-queue"), std::string::npos) << error;
-
-  EXPECT_FALSE(registry.Register(
-      "random", [](const cluster::RoutingPolicyContext&)
-                    -> std::unique_ptr<cluster::RoutingPolicy> {
-        return std::make_unique<cluster::RoundRobinPolicy>();
-      }));
 }
 
 TEST(RoutingRegistryTest, ThresholdParamsReachThePolicy) {
@@ -196,7 +154,7 @@ TEST(RoutingRegistryTest, ThresholdParamsReachThePolicy) {
   cluster::RoutingPolicyContext context;
   context.params = &params;
   std::unique_ptr<cluster::RoutingPolicy> policy =
-      cluster::RoutingPolicyRegistry::Global().Make("threshold", context);
+      cluster::RoutingPolicyRegistry::Global().Get("threshold")(context);
   ASSERT_NE(policy, nullptr);
   auto* threshold = static_cast<cluster::ThresholdPolicy*>(policy.get());
   EXPECT_EQ(threshold->threshold(), 11.0);

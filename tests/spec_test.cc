@@ -580,6 +580,29 @@ TEST(SpecOverrideTest, ChainIsValidatedAsAWhole) {
            "retry.backoff_max must be >= retry.backoff_base"},
           {{{"degrade.enabled", "true"}, {"degrade.shed_query", "9"}},
            "degrade.shed_update must be >= degrade.shed_query"},
+          // Both engines CHECK the measured window when a run starts.
+          {{{"duration", "0"}}, "duration must be > 0"},
+          {{{"warmup", "1000"}}, "warmup must satisfy 0 <= warmup < duration"},
+          {{{"warmup", "-1"}}, "warmup must satisfy 0 <= warmup < duration"},
+          // The PlacementCatalog constructor CHECKs these two.
+          {{{"placement.enabled", "true"}, {"placement.num_partitions", "16"},
+            {"placement.workload.db_size", "15"}},
+           "placement.num_partitions must be <= placement.workload.db_size"},
+          {{{"placement.enabled", "true"},
+            {"placement.rebalance_interval", "5"},
+            {"placement.rebalance_moves", "0"}},
+           "placement.rebalance_moves must be >= 1 when "
+           "placement.rebalance_interval > 0"},
+          // The controller param readers CHECK these when the controller
+          // is built.
+          {{{"node.control.pa.recovery", "bogus"}},
+           "node 0 control.pa.recovery: expected "
+           "hold/gradient/contract/reset, got 'bogus'"},
+          {{{"node1.control.is.index", "bogus"}},
+           "node 1 control.is.index: expected throughput/"
+           "inverse-response-time/effective-cpu-utilization, got 'bogus'"},
+          {{{"node.control.pa.index", "bogus"}}, "node 0 control.pa.index"},
+          {{{"node.control.gs.index", "bogus"}}, "node 0 control.gs.index"},
       };
   for (const auto& [chain, message] : cases) {
     core::ExperimentSpec spec = base;
@@ -604,6 +627,17 @@ TEST(SpecOverrideTest, ChainIsValidatedAsAWhole) {
            {"elasticity.enabled", "true"},
            {"elasticity.hb.quorum", "3"},
            {"elasticity.hb.observers", "3"}}) {
+    ASSERT_TRUE(core::ApplySpecOverride(&spec, key, value, &error)) << error;
+  }
+  EXPECT_TRUE(core::ValidateSpec(spec, &error)) << error;
+
+  // A static placement needs no rebalance moves.
+  spec = base;
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"placement.enabled", "true"},
+           {"placement.rebalance_interval", "0"},
+           {"placement.rebalance_moves", "0"}}) {
     ASSERT_TRUE(core::ApplySpecOverride(&spec, key, value, &error)) << error;
   }
   EXPECT_TRUE(core::ValidateSpec(spec, &error)) << error;

@@ -1,11 +1,17 @@
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fault/fault.h"
 #include "util/csv.h"
 #include "util/math.h"
 #include "util/params.h"
+#include "util/registry.h"
 #include "util/strformat.h"
 #include "util/table.h"
 
@@ -190,6 +196,45 @@ TEST(ParseDoubleTest, RejectsOverflowAndUnderflowToZero) {
   EXPECT_FALSE(ParseDouble("-1e400", &parsed));
   EXPECT_FALSE(ParseDouble("1e-400", &parsed));
   EXPECT_EQ(parsed, 7.0);
+}
+
+TEST(RegistryTest, RejectsDuplicatesSortsNamesAndListsThemWhenUnknown) {
+  using Factory = std::function<std::unique_ptr<int>(const int&)>;
+  Registry<Factory> registry("widget");
+  EXPECT_TRUE(registry.Register("zeta", [](const int& x) {
+    return std::make_unique<int>(x + 1);
+  }));
+  EXPECT_TRUE(registry.Register("alpha", [](const int& x) {
+    return std::make_unique<int>(x * 2);
+  }));
+  // A duplicate is refused and the first entry survives.
+  EXPECT_FALSE(registry.Register(
+      "zeta", [](const int&) { return std::make_unique<int>(0); }));
+  EXPECT_EQ(*registry.Get("zeta")(1), 2);
+  EXPECT_EQ(registry.Names(), (std::vector<std::string>{"alpha", "zeta"}));
+  EXPECT_TRUE(registry.Contains("alpha"));
+  EXPECT_FALSE(registry.Contains("omega"));
+
+  std::string error;
+  EXPECT_EQ(registry.Find("omega", &error), nullptr);
+  EXPECT_EQ(error, "unknown widget 'omega'; registered: alpha zeta");
+  EXPECT_EQ(registry.Make("omega", 3), nullptr);
+  EXPECT_EQ(*registry.Make("alpha", 3), 6);
+  EXPECT_DEATH(registry.Get("omega"), "unknown widget 'omega'");
+}
+
+TEST(RegistryTest, FaultKindsRefuseADuplicateLikeTheFactoryFamilies) {
+  // The fault family holds the kinds themselves, not factories.
+  fault::FaultRegistry& kinds = fault::FaultRegistry::Global();
+  const fault::FaultKind* stall = kinds.Get("disk-stall").get();
+  EXPECT_FALSE(
+      kinds.Register("disk-stall", std::make_unique<fault::FaultKind>()));
+  EXPECT_EQ(kinds.Get("disk-stall").get(), stall);
+  std::string error;
+  EXPECT_EQ(kinds.Find("meteor-strike", &error), nullptr);
+  EXPECT_EQ(error,
+            "unknown fault kind 'meteor-strike'; registered: cpu-degrade "
+            "crash-burst disk-stall partition probe-delay probe-loss");
 }
 
 }  // namespace

@@ -395,24 +395,19 @@ TEST(SessionWorkloadTest, ReplaysBitIdenticallyAcrossInstances) {
 }
 
 TEST(WorkloadRegistryTest, BuildsEveryRegisteredSource) {
-  for (const std::string name : {"open", "closed", "hybrid"}) {
-    EXPECT_TRUE(workload::WorkloadRegistry::Global().Contains(name)) << name;
+  const workload::WorkloadRegistry& registry =
+      workload::WorkloadRegistry::Global();
+  EXPECT_EQ(registry.Names(),
+            (std::vector<std::string>{"closed", "hybrid", "open"}));
+  for (const std::string& name : registry.Names()) {
     workload::WorkloadSpec spec = SmallSessionSpec();
     spec.source = name;
     workload::WorkloadSourceContext context;
     context.spec = &spec;
     context.arrival_rate = db::Schedule::Constant(10.0);
     context.seed = 3;
-    std::string error;
-    auto source =
-        workload::WorkloadRegistry::Global().Make(name, context, &error);
-    EXPECT_NE(source, nullptr) << error;
+    EXPECT_NE(registry.Get(name)(context), nullptr) << name;
   }
-  std::string error;
-  auto source = workload::WorkloadRegistry::Global().Make(
-      "no-such-source", workload::WorkloadSourceContext{}, &error);
-  EXPECT_EQ(source, nullptr);
-  EXPECT_NE(error.find("hybrid"), std::string::npos) << error;
 }
 
 // ------------------------------------------------- acceptance properties --

@@ -4,8 +4,8 @@
 #
 #   1. configure + build (Release unless BUILD_DIR is already configured)
 #   2. the full ctest tier-1 suite, then the spec canon: every checked-in
-#      spec re-prints byte-identically from its own --print output, and an
-#      override chain aimed past the fleet is refused
+#      spec re-prints byte-identically from its own --print output, and
+#      four bad override chains are refused with exit status 1
 #   3. the alc_compare golden-manifest gates (node_failover + smoke +
 #      cluster_routing_flash): fresh runs of the checked-in specs must
 #      match the committed manifests bit-for-bit on the comparable
@@ -45,12 +45,22 @@ for spec in specs/*.spec; do
     > "$OUT_DIR/canon-b.spec"
   cmp "$OUT_DIR/canon-a.spec" "$OUT_DIR/canon-b.spec"
 done
-if "./$BUILD_DIR/tools/alc_run" specs/smoke.spec --set fault.enabled=true \
-  --set 'fault.inject=cpu-degrade(1:2; nodes=9; magnitude=0.5)' \
-  --print >/dev/null 2>&1; then
-  echo "premerge: alc_run accepted a fault aimed past the fleet" >&2
-  exit 1
-fi
+# Each chain must be refused by the spec layer: exit 1, not 0 and not 134
+# (a CHECK abort further in).
+refused() {
+  local status=0
+  "./$BUILD_DIR/tools/alc_run" specs/smoke.spec "$@" --print >/dev/null \
+    2>&1 || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "premerge: alc_run $* exited $status, want 1 (refused)" >&2
+    exit 1
+  fi
+}
+refused --set fault.enabled=true \
+  --set 'fault.inject=cpu-degrade(1:2; nodes=9; magnitude=0.5)'
+refused --set routing=warp-drive
+refused --set warmup=1000
+refused --set node.control.pa.recovery=bogus
 
 echo "== golden gate: node_failover"
 "./$BUILD_DIR/tools/alc_run" specs/node_failover.spec \
