@@ -296,12 +296,16 @@ void Cluster::Start() {
   if (degrade_.enabled) ScheduleDegradeTick();
 }
 
-MembershipView Cluster::Snapshot() {
-  views_.clear();
-  for (const auto& node : nodes_) views_.push_back(node->View());
+MembershipView Cluster::Membership(const std::vector<int>& live) const {
   MembershipView membership;
-  membership.nodes = &views_;
-  membership.live = &live_;
+  membership.reader = [](const void* source, int slot) {
+    return (*static_cast<const std::vector<std::unique_ptr<ClusterNode>>*>(
+                source))[slot]
+        ->View();
+  };
+  membership.source = &nodes_;
+  membership.fleet = size();
+  membership.live = &live;
   membership.epoch = epoch_;
   return membership;
 }
@@ -451,12 +455,7 @@ void Cluster::RetractAndReroute(int node, int max_count, bool drop) {
       plan_.access_modes = txn->planned_modes;
     }
     origin.ReleaseQueued(txn);
-    views_.clear();
-    for (const auto& n : nodes_) views_.push_back(n->View());
-    MembershipView membership;
-    membership.nodes = &views_;
-    membership.live = &live_scratch_;
-    membership.epoch = epoch_;
+    const MembershipView membership = Membership(live_scratch_);
     if (preplanned) {
       ALC_CHECK(catalog_ != nullptr);
       plan_partitions_.clear();
@@ -505,7 +504,7 @@ void Cluster::RetryElsewhere(int origin) {
   // request as failed, so the replay runs as background repair traffic.
   if (catalog_ != nullptr) {
     StampPlan(workload::Arrival{});
-    MembershipView membership = Snapshot();
+    const MembershipView membership = Membership(live_);
     RouteContext context;
     context.keys = &plan_.access_items;
     context.catalog = catalog_.get();
@@ -513,7 +512,7 @@ void Cluster::RetryElsewhere(int origin) {
     const int target = policy_->Route(membership, context);
     SubmitPlanned(target);
   } else {
-    MembershipView membership = Snapshot();
+    const MembershipView membership = Membership(live_);
     const int target = policy_->Route(membership, RouteContext{});
     ALC_CHECK_GE(target, 0);
     ALC_CHECK_LT(target, size());
@@ -589,7 +588,7 @@ void Cluster::ResubmitRetry(int slot) {
     for (const db::ItemId key : plan_.access_items) {
       plan_partitions_.push_back(catalog_->PartitionOf(key));
     }
-    MembershipView membership = Snapshot();
+    const MembershipView membership = Membership(live_);
     RouteContext context;
     context.keys = &plan_.access_items;
     context.catalog = catalog_.get();
@@ -601,7 +600,7 @@ void Cluster::ResubmitRetry(int slot) {
     // Crash replay under placement: the original plan died with the node,
     // so the client re-draws (models a re-issued request).
     StampPlan(workload::Arrival{});
-    MembershipView membership = Snapshot();
+    const MembershipView membership = Membership(live_);
     RouteContext context;
     context.keys = &plan_.access_items;
     context.catalog = catalog_.get();
@@ -610,7 +609,7 @@ void Cluster::ResubmitRetry(int slot) {
     const int target = policy_->Route(membership, context);
     SubmitPlanned(target, session, pending.attempts);
   } else {
-    MembershipView membership = Snapshot();
+    const MembershipView membership = Membership(live_);
     RouteContext context;
     context.is_retraction = true;
     const int target = policy_->Route(membership, context);
@@ -747,7 +746,7 @@ void Cluster::SubmitArrival(const workload::Arrival& arrival) {
       return;
     }
   }
-  MembershipView membership = Snapshot();
+  const MembershipView membership = Membership(live_);
   const int target = policy_->Route(membership, RouteContext{});
   ALC_CHECK_GE(target, 0);
   ALC_CHECK_LT(target, size());
@@ -845,7 +844,7 @@ void Cluster::RouteOnePlaced(const workload::Arrival& arrival) {
   // deliberate simplification (the rebalancer sees offered, not admitted,
   // demand).
   if (ShedArrival(plan_.cls, arrival.session)) return;
-  MembershipView membership = Snapshot();
+  const MembershipView membership = Membership(live_);
   RouteContext context;
   context.keys = &plan_.access_items;
   context.catalog = catalog_.get();

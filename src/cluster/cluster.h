@@ -163,11 +163,15 @@ struct PlacementSpec {
 /// a pluggable workload source (default: the open Poisson stream over the
 /// arrival-rate schedule) through a routing policy over the epoch-versioned
 /// live membership. Each arrival is routed on the current MembershipView
-/// and submitted to the chosen node. Without placement, the node stamps the
-/// work from its own workload dynamics; with placement the front-end draws
-/// a key-carrying plan from the global keyspace (biased toward the
-/// arrival's session-affinity key range when one is attached), routes on
-/// it, and marks non-replica keys remote. Session-tagged arrivals report
+/// and submitted to the chosen node. The view copies no node state: the
+/// policy reads only the nodes it weighs (a keyed arrival's homes and
+/// replicas, d samples, or the live set for the load-scanning policies)
+/// straight from the ClusterNodes, so a decision costs O(candidates), not
+/// O(fleet). Without placement, the node stamps the work from its own
+/// workload dynamics; with placement the front-end draws a key-carrying
+/// plan from the global keyspace (biased toward the arrival's
+/// session-affinity key range when one is attached), routes on it, and
+/// marks non-replica keys remote. Session-tagged arrivals report
 /// their commit/kill/drop back to the source, closing the think/issue loop
 /// of closed and hybrid workloads.
 ///
@@ -348,9 +352,10 @@ class Cluster : public workload::WorkloadHost {
   void RouteOnePlaced(const workload::Arrival& arrival);
   void ScheduleRebalance();
   void ScheduleRetractionScan();
-  /// Builds views_ for the whole fleet and returns the membership view over
-  /// them. Valid until the next call.
-  MembershipView Snapshot();
+  /// The membership a routing decision sees: `live` (live_, or a retraction's
+  /// re-route targets) over node state read from nodes_ on demand. Costs
+  /// O(1) to build; each policy read is one ClusterNode::View().
+  MembershipView Membership(const std::vector<int>& live) const;
   void ApplyTransition(int node, NodeState to);
   /// Pulls up to `max_count` queued admissions out of `node`'s gate and
   /// re-routes them through the policy over the live set (dropping them
@@ -394,7 +399,6 @@ class Cluster : public workload::WorkloadHost {
   std::unique_ptr<workload::WorkloadSource> source_;
   uint64_t seed_;
   db::Schedule arrival_rate_ = db::Schedule::Constant(100.0);
-  std::vector<NodeView> views_;  // reused per arrival (hot path)
   std::vector<uint64_t> routed_;
   uint64_t total_routed_ = 0;
   bool started_ = false;

@@ -1,6 +1,7 @@
 #include "cluster/router.h"
 
 #include <algorithm>
+#include <climits>
 
 #include "cluster/registry.h"
 #include "util/check.h"
@@ -38,31 +39,43 @@ bool Routable(const MembershipView& cluster, int node) {
   return node >= 0 && node < cluster.fleet_size() && cluster.IsLive(node);
 }
 
+/// Gate headroom a retracted transaction would find at a node: n* minus
+/// front-end occupancy.
+double Headroom(const NodeView& view) {
+  return view.limit - Occupancy(view);
+}
+
+/// The touched partition locality anchors on, its home node, and the home's
+/// state as read for the decision.
+struct HomePick {
+  int partition = -1;
+  int node = -1;  // -1 when no touched partition has a routable home
+  NodeView view;
+};
+
 /// Picks the touched partition to anchor locality on: within the highest
 /// touch-count tier that has any live home node, the partition whose home
 /// is least occupied (ties to the lower partition id). Lower tiers are only
 /// consulted when every partition of the higher tiers has an unroutable
-/// home (outside the fleet, down, or draining). Returns {partition, home
-/// node}, or {-1, -1} when no touched partition has a routable home.
-std::pair<int, int> PickHomePartition(
-    const MembershipView& cluster, const RouteContext& context,
-    std::vector<std::pair<int, int>>* touches) {
+/// home (outside the fleet, down, or draining). Reads at most one node
+/// state per touched partition.
+HomePick PickHomePartition(const MembershipView& cluster,
+                           const RouteContext& context,
+                           std::vector<std::pair<int, int>>* touches) {
   CountContextTouches(context, touches);
-  int best_partition = -1;
-  int best_node = -1;
-  int tier = 0;  // touch count of the tier best_node was found in
+  HomePick best;
+  int tier = 0;  // touch count of the tier best.node was found in
   for (const auto& [partition, count] : *touches) {
-    if (best_node >= 0 && count < tier) break;  // settled in a higher tier
+    if (best.node >= 0 && count < tier) break;  // settled in a higher tier
     const int home = context.catalog->HomeNode(partition);
     if (!Routable(cluster, home)) continue;
-    if (best_node < 0 ||
-        Occupancy(cluster.view(home)) < Occupancy(cluster.view(best_node))) {
-      best_partition = partition;
-      best_node = home;
+    const NodeView view = cluster.view(home);
+    if (best.node < 0 || Occupancy(view) < Occupancy(best.view)) {
+      best = {partition, home, view};
       tier = count;
     }
   }
-  return {best_partition, best_node};
+  return best;
 }
 
 /// Collects `partition`'s replica holders that are routable (live slots of
@@ -91,9 +104,12 @@ int LeastOccupied(const MembershipView& cluster) {
   ALC_CHECK_GT(cluster.num_live(), 0);
   const std::vector<int>& live = *cluster.live;
   int best = live[0];
+  int best_occupancy = Occupancy(cluster.view(best));
   for (size_t i = 1; i < live.size(); ++i) {
-    if (Occupancy(cluster.view(live[i])) < Occupancy(cluster.view(best))) {
+    const int occupancy = Occupancy(cluster.view(live[i]));
+    if (occupancy < best_occupancy) {
       best = live[i];
+      best_occupancy = occupancy;
     }
   }
   return best;
@@ -147,21 +163,23 @@ int JoinShortestQueuePolicy::Route(const MembershipView& cluster,
     // the most admission headroom (n* - occupancy), so it restarts instead
     // of trading one queue for another. Equivalent to shortest-queue when
     // all limits are equal.
+    double best_headroom = Headroom(cluster.view(live[best]));
     for (size_t j = 1; j < n; ++j) {
       const size_t i = (rotate_ + j) % n;
-      const NodeView& candidate = cluster.view(live[i]);
-      const NodeView& incumbent = cluster.view(live[best]);
-      if (candidate.limit - Occupancy(candidate) >
-          incumbent.limit - Occupancy(incumbent)) {
+      const double headroom = Headroom(cluster.view(live[i]));
+      if (headroom > best_headroom) {
         best = i;
+        best_headroom = headroom;
       }
     }
   } else {
+    int best_occupancy = Occupancy(cluster.view(live[best]));
     for (size_t j = 1; j < n; ++j) {
       const size_t i = (rotate_ + j) % n;
-      if (Occupancy(cluster.view(live[i])) <
-          Occupancy(cluster.view(live[best]))) {
+      const int occupancy = Occupancy(cluster.view(live[i]));
+      if (occupancy < best_occupancy) {
         best = i;
+        best_occupancy = occupancy;
       }
     }
   }
@@ -187,11 +205,15 @@ int ThresholdPolicy::Route(const MembershipView& cluster,
   // least-occupied one as the fallback.
   int candidate = -1;
   size_t least = rotate_ % n;
+  int least_occupancy = INT_MAX;  // the first node scanned is `least`
   bool all_far_below = true;
   for (size_t j = 0; j < n; ++j) {
     const size_t i = (rotate_ + j) % n;
     const int occ = Occupancy(cluster.view(live[i]));
-    if (occ < Occupancy(cluster.view(live[least]))) least = i;
+    if (occ < least_occupancy) {
+      least = i;
+      least_occupancy = occ;
+    }
     if (candidate < 0 && occ < threshold_) candidate = live[i];
     if (occ >= threshold_ - 1.0) all_far_below = false;
   }
@@ -223,14 +245,16 @@ int PowerOfDPolicy::RouteAmong(const MembershipView& cluster) {
   const int n = static_cast<int>(candidates_.size());
   const int d = std::min(config_.d, n);
   int best = -1;
+  int best_occupancy = 0;
   for (int i = 0; i < d; ++i) {
     const int j =
         i + static_cast<int>(rng_.NextUint64(static_cast<uint64_t>(n - i)));
     std::swap(candidates_[i], candidates_[j]);
     const int node = candidates_[i];
-    if (best < 0 ||
-        Occupancy(cluster.view(node)) < Occupancy(cluster.view(best))) {
+    const int occupancy = Occupancy(cluster.view(node));
+    if (best < 0 || occupancy < best_occupancy) {
       best = node;
+      best_occupancy = occupancy;
     }
   }
   return best;
@@ -246,33 +270,33 @@ int LocalityPolicy::Route(const MembershipView& cluster,
                           const RouteContext& context) {
   // Without keys there is no locality to exploit; degrade to cheapest node.
   if (!context.has_placement()) return LeastOccupied(cluster);
-  const auto [partition, home] =
-      PickHomePartition(cluster, context, &touches_);
-  (void)partition;
-  if (home < 0) {
+  const HomePick home = PickHomePartition(cluster, context, &touches_);
+  if (home.node < 0) {
     WarnDegenerateOnce(&warned_empty_, name());
     return LeastOccupied(cluster);
   }
-  return home;
+  return home.node;
 }
 
 int LocalityThresholdPolicy::Route(const MembershipView& cluster,
                                    const RouteContext& context) {
   if (!context.has_placement()) return LeastOccupied(cluster);
-  const auto [partition, home] =
-      PickHomePartition(cluster, context, &touches_);
-  if (home < 0) {
+  const HomePick home = PickHomePartition(cluster, context, &touches_);
+  if (home.node < 0) {
     WarnDegenerateOnce(&warned_empty_, name());
     return LeastOccupied(cluster);
   }
   // Locality pays while the home node has admission headroom: its gate
   // would enqueue beyond n*, so spill to the cheapest live replica instead.
-  if (Occupancy(cluster.view(home)) <= cluster.view(home).limit) return home;
-  FilterReplicas(cluster, *context.catalog, partition, &candidates_);
-  int best = home;
+  if (Occupancy(home.view) <= home.view.limit) return home.node;
+  FilterReplicas(cluster, *context.catalog, home.partition, &candidates_);
+  int best = home.node;
+  int best_occupancy = Occupancy(home.view);
   for (const int node : candidates_) {
-    if (Occupancy(cluster.view(node)) < Occupancy(cluster.view(best))) {
+    const int occupancy = Occupancy(cluster.view(node));
+    if (occupancy < best_occupancy) {
       best = node;
+      best_occupancy = occupancy;
     }
   }
   return best;

@@ -29,25 +29,52 @@ inline int Occupancy(const NodeView& view) {
   return view.active + view.gate_queue;
 }
 
-/// The routable cluster at one decision instant: per-node observable state
-/// (indexed by fleet slot — slots are stable across the run, so a node
-/// keeps its identity through failures), the sorted list of live slots,
-/// and the membership epoch. The epoch increments on every lifecycle
-/// transition (crash, drain, rejoin), so a policy caching per-fleet state
-/// can detect membership change in O(1). `live` is non-empty whenever a
-/// policy is asked to route; down and draining nodes never appear in it.
+/// The routable cluster at one decision instant: the sorted list of live
+/// fleet slots, the membership epoch, and a reader for per-node observable
+/// state (indexed by fleet slot — slots are stable across the run, so a
+/// node keeps its identity through failures). The epoch increments on every
+/// lifecycle transition (crash, drain, rejoin), so a policy caching
+/// per-fleet state can detect membership change in O(1). `live` is
+/// non-empty whenever a policy is asked to route; down and draining nodes
+/// never appear in it.
+///
+/// Node state is read on demand: `view(slot)` asks `reader` for that slot's
+/// current state, so a decision costs only the reads it makes (the homes
+/// and replicas of a keyed arrival, d samples, ...) rather than a copy of
+/// the whole fleet. A view is valid only during the Route call it is passed
+/// to; policies must not keep it.
 struct MembershipView {
-  const std::vector<NodeView>* nodes = nullptr;
+  /// Returns the current state of `slot` held by `source`.
+  using Reader = NodeView (*)(const void* source, int slot);
+
+  Reader reader = nullptr;
+  const void* source = nullptr;
+  int fleet = 0;  // number of fleet slots the reader answers for
   const std::vector<int>* live = nullptr;  // sorted fleet slots
   uint64_t epoch = 0;
 
-  int fleet_size() const {
-    return nodes == nullptr ? 0 : static_cast<int>(nodes->size());
+  /// A membership reading its node state from `views` (indexed by slot),
+  /// for tests and callers that hold plain views. `views` and `live` must
+  /// outlive the membership.
+  static MembershipView Over(const std::vector<NodeView>& views,
+                             const std::vector<int>* live,
+                             uint64_t epoch = 0) {
+    MembershipView membership;
+    membership.reader = [](const void* source, int slot) {
+      return (*static_cast<const std::vector<NodeView>*>(source))[slot];
+    };
+    membership.source = &views;
+    membership.fleet = static_cast<int>(views.size());
+    membership.live = live;
+    membership.epoch = epoch;
+    return membership;
   }
+
+  int fleet_size() const { return fleet; }
   int num_live() const {
     return live == nullptr ? 0 : static_cast<int>(live->size());
   }
-  const NodeView& view(int slot) const { return (*nodes)[slot]; }
+  NodeView view(int slot) const { return reader(source, slot); }
   bool IsLive(int slot) const {
     return live != nullptr &&
            std::binary_search(live->begin(), live->end(), slot);
@@ -66,9 +93,7 @@ class AllLiveMembership {
     for (size_t i = 0; i < views.size(); ++i) {
       live_.push_back(static_cast<int>(i));
     }
-    view_.nodes = &views;
-    view_.live = &live_;
-    view_.epoch = epoch;
+    view_ = MembershipView::Over(views, &live_, epoch);
   }
 
   // view_.live points into this instance; a compiler-generated copy or

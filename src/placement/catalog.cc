@@ -158,11 +158,16 @@ void PlacementCatalog::MapToPartitions(const std::vector<db::ItemId>& keys,
 void PlacementCatalog::CountPartitionTouches(
     const std::vector<int>& partitions,
     std::vector<std::pair<int, int>>* out) const {
+  // Sorting a copy of the k ids groups equal ids into runs in ascending id
+  // order: O(k log k), independent of num_partitions.
   out->clear();
-  histogram_scratch_.assign(num_partitions_, 0);
-  for (const int partition : partitions) ++histogram_scratch_[partition];
-  for (int p = 0; p < num_partitions_; ++p) {
-    if (histogram_scratch_[p] > 0) out->emplace_back(p, histogram_scratch_[p]);
+  sorted_scratch_.assign(partitions.begin(), partitions.end());
+  std::sort(sorted_scratch_.begin(), sorted_scratch_.end());
+  for (const int partition : sorted_scratch_) {
+    if (out->empty() || out->back().first != partition) {
+      out->emplace_back(partition, 0);
+    }
+    ++out->back().second;
   }
   std::sort(out->begin(), out->end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
@@ -172,19 +177,9 @@ void PlacementCatalog::CountPartitionTouches(
 
 int PlacementCatalog::PluralityPartition(
     const std::vector<int>& partitions) const {
-  if (partitions.empty()) return -1;
-  histogram_scratch_.assign(num_partitions_, 0);
-  for (const int partition : partitions) ++histogram_scratch_[partition];
-  // Ascending scan with strict > keeps the lowest partition id on ties.
-  int best = -1;
-  int best_count = 0;
-  for (int p = 0; p < num_partitions_; ++p) {
-    if (histogram_scratch_[p] > best_count) {
-      best = p;
-      best_count = histogram_scratch_[p];
-    }
-  }
-  return best;
+  // The first touch count is the plurality, lowest id first on ties.
+  CountPartitionTouches(partitions, &touch_scratch_);
+  return touch_scratch_.empty() ? -1 : touch_scratch_.front().first;
 }
 
 void PlacementCatalog::CountTouches(

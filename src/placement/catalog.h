@@ -95,7 +95,8 @@ class PlacementCatalog {
                        std::vector<int>* out) const;
 
   /// Touch counts of the given partition ids, sorted by (count desc,
-  /// partition asc). Deterministic for identical inputs.
+  /// partition asc). Deterministic for identical inputs; O(k log k) in the
+  /// k ids, whatever num_partitions is.
   void CountPartitionTouches(const std::vector<int>& partitions,
                              std::vector<std::pair<int, int>>* out) const;
 
@@ -149,7 +150,8 @@ class PlacementCatalog {
   uint64_t rebalances_ = 0;
   uint64_t migrations_ = 0;
   /// Working space for the touch-counting queries (single-threaded sim).
-  mutable std::vector<int> histogram_scratch_;
+  mutable std::vector<int> sorted_scratch_;
+  mutable std::vector<std::pair<int, int>> touch_scratch_;
   mutable std::vector<int> partition_scratch_;
 };
 

@@ -67,6 +67,9 @@ void LogHistogram::Add(double value) {
 }
 
 void LogHistogram::Merge(const LogHistogram& other) {
+  // Nothing recorded means every bucket is zero: skip the bucket walk. The
+  // sum is tested too, since a Subtract can leave rounding residue there.
+  if (other.count_ == 0 && other.sum_ == 0.0) return;
   for (int i = 0; i < kNumBuckets; ++i) {
     buckets_[static_cast<size_t>(i)] += other.buckets_[static_cast<size_t>(i)];
   }
@@ -77,6 +80,7 @@ void LogHistogram::Merge(const LogHistogram& other) {
 }
 
 void LogHistogram::Subtract(const LogHistogram& earlier) {
+  if (earlier.count_ == 0 && earlier.sum_ == 0.0) return;  // see Merge
   for (int i = 0; i < kNumBuckets; ++i) {
     ALC_CHECK_GE(buckets_[static_cast<size_t>(i)],
                  earlier.buckets_[static_cast<size_t>(i)]);

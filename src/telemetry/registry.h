@@ -46,9 +46,11 @@ struct MetricSample {
 ///    Linked pointers must outlive the registry's last Snapshot() call.
 ///
 /// Registration itself allocates (names are strings) and happens once at
-/// experiment setup, never per event. The registry is observation-only: it
-/// never mutates linked fields, so registering metrics cannot perturb a
-/// run (pinned by tests/audit_test.cc byte-identity).
+/// experiment setup, never per event. Names must be unique: a name
+/// registered twice fails a CHECK, naming the metric, at Snapshot(). The
+/// registry is observation-only: it never mutates linked fields, so
+/// registering metrics cannot perturb a run (pinned by tests/audit_test.cc
+/// byte-identity).
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -89,8 +91,6 @@ class MetricRegistry {
     const double* gauge = nullptr;
     const LogHistogram* hist = nullptr;
   };
-
-  void AddEntry(Entry entry);
 
   std::vector<Entry> entries_;
   // Owned storage. Deques keep pointers stable across growth.

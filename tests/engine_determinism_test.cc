@@ -75,6 +75,34 @@ TEST(EngineDeterminismTest, NodeFailoverCsvMatchesPreRefactorBaseline) {
   EXPECT_EQ(Fnv1a(aggregate_csv), 11098696363277174748ULL);
 }
 
+// The 256-node locality-threshold path in CI's smoke form of
+// specs/diurnal_1m.spec: hybrid sessions, replicated placement, rebalancing
+// and per-node Parabola gates. Pinned before the front end stopped copying
+// every node's view per arrival; routing must stay bit-identical.
+TEST(EngineDeterminismTest, DiurnalSmokeCsvIsPinned) {
+  core::ExperimentSpec spec;
+  std::string error;
+  ASSERT_TRUE(core::LoadSpecFile(
+      std::string(ALC_SOURCE_DIR) + "/specs/diurnal_1m.spec", &spec, &error))
+      << error;
+  ASSERT_TRUE(core::ApplySpecOverride(&spec, "duration", "8", &error))
+      << error;
+  ASSERT_TRUE(core::ApplySpecOverride(&spec, "warmup", "2", &error)) << error;
+  ASSERT_TRUE(core::ValidateSpec(spec, &error)) << error;
+  const core::SpecRunResult result = core::RunSpec(spec);
+  ASSERT_TRUE(result.cluster);
+
+  const std::string cluster_csv = ClusterCsv(result.cluster_result);
+  std::ostringstream aggregate;
+  core::WriteTrajectoryCsv(aggregate, result.cluster_result.aggregate, {});
+  const std::string aggregate_csv = aggregate.str();
+
+  EXPECT_EQ(cluster_csv.size(), 468915u);
+  EXPECT_EQ(aggregate_csv.size(), 1828u);
+  EXPECT_EQ(Fnv1a(cluster_csv), 13567028770705261309ULL);
+  EXPECT_EQ(Fnv1a(aggregate_csv), 4857415289530177456ULL);
+}
+
 /// bench/common.h's PaperSpec(42) cut to 60 s: the single-node paper model
 /// under the three controllers whose parameters it sets.
 std::string PaperModelText(const std::string& controller) {

@@ -17,6 +17,7 @@
 #include "core/export.h"
 #include "core/spec.h"
 #include "placement/catalog.h"
+#include "sim/random.h"
 
 namespace alc {
 namespace {
@@ -98,10 +99,8 @@ std::vector<cluster::NodeView> Views(std::vector<int> active) {
 TEST(MembershipViewTest, PoliciesRouteOnlyOverTheLiveSet) {
   const auto views = Views({0, 0, 0, 0});
   const std::vector<int> live = {1, 3};
-  cluster::MembershipView membership;
-  membership.nodes = &views;
-  membership.live = &live;
-  membership.epoch = 7;
+  const cluster::MembershipView membership =
+      cluster::MembershipView::Over(views, &live, /*epoch=*/7);
   EXPECT_TRUE(membership.IsLive(1));
   EXPECT_FALSE(membership.IsLive(0));
   EXPECT_EQ(membership.num_live(), 2);
@@ -148,13 +147,107 @@ TEST(MembershipViewTest, LocalityFallsAwayFromDeadHome) {
   // cheapest live node (and locality-threshold spills inside the live
   // replica set).
   const std::vector<int> live = {0, 2, 3};
-  cluster::MembershipView partial;
-  partial.nodes = &views;
-  partial.live = &live;
+  const cluster::MembershipView partial =
+      cluster::MembershipView::Over(views, &live);
   const int target = locality.Route(partial, context);
   EXPECT_NE(target, 1);
   cluster::LocalityThresholdPolicy locality_threshold;
   EXPECT_NE(locality_threshold.Route(partial, context), 1);
+}
+
+/// A 256-slot fleet whose reader counts the node states a policy reads.
+struct CountingFleet {
+  std::vector<cluster::NodeView> views;
+  std::vector<int> live;
+  mutable int reads = 0;
+
+  cluster::MembershipView Membership() const {
+    cluster::MembershipView membership;
+    membership.reader = [](const void* source, int slot) {
+      const auto* fleet = static_cast<const CountingFleet*>(source);
+      ++fleet->reads;
+      return fleet->views[static_cast<size_t>(slot)];
+    };
+    membership.source = this;
+    membership.fleet = static_cast<int>(views.size());
+    membership.live = &live;
+    return membership;
+  }
+};
+
+TEST(MembershipViewTest, PoliciesReadOnlyTheNodeStateTheyWeigh) {
+  constexpr int kFleet = 256;
+  placement::PlacementConfig config;
+  config.kind = placement::PlacementKind::kReplicated;
+  config.num_partitions = 256;
+  config.replication_factor = 2;
+  placement::PlacementCatalog catalog(config, kFleet, 65536);
+  CountingFleet fleet;
+  fleet.views.resize(kFleet);
+  for (int i = 0; i < kFleet; ++i) {
+    if (i % 9 == 4) {
+      catalog.SetNodeLive(i, false);  // a few dead slots, re-homed
+    } else {
+      fleet.live.push_back(i);
+    }
+  }
+  const cluster::MembershipView membership = fleet.Membership();
+  const size_t live = fleet.live.size();
+
+  cluster::LocalityThresholdPolicy locality_threshold;
+  cluster::LocalityPolicy locality;
+  cluster::PowerOfDPolicy power(cluster::PowerOfDPolicy::Config{3}, 5);
+  cluster::JoinShortestQueuePolicy jsq;
+  cluster::ThresholdPolicy threshold(cluster::ThresholdPolicy::Config{});
+  sim::RandomStream rng(17);
+  std::vector<db::ItemId> keys;
+  std::vector<std::pair<int, int>> touches;
+  int spills = 0;
+  for (int decision = 0; decision < 400; ++decision) {
+    for (cluster::NodeView& view : fleet.views) {
+      view.active = static_cast<int>(rng.NextUint64(30));
+      view.gate_queue = static_cast<int>(rng.NextUint64(8));
+      view.limit = 20.0;
+    }
+    // Eight keys, mostly inside one 64-key affinity range.
+    keys.clear();
+    const db::ItemId base = static_cast<db::ItemId>(rng.NextUint64(65536 - 64));
+    for (int i = 0; i < 8; ++i) {
+      keys.push_back(rng.NextDouble() < 0.9
+                         ? base + static_cast<db::ItemId>(rng.NextUint64(64))
+                         : static_cast<db::ItemId>(rng.NextUint64(65536)));
+    }
+    catalog.CountTouches(keys, &touches);
+    const int key_bound =
+        static_cast<int>(touches.size()) + catalog.replication_factor();
+    cluster::RouteContext context;
+    context.keys = &keys;
+    context.catalog = &catalog;
+    context.is_retraction = decision % 4 == 0;
+
+    fleet.reads = 0;
+    const int target = locality_threshold.Route(membership, context);
+    EXPECT_LE(fleet.reads, key_bound) << "locality-threshold";
+    if (target != catalog.HomeNode(touches[0].first)) ++spills;
+    fleet.reads = 0;
+    locality.Route(membership, context);
+    EXPECT_LE(fleet.reads, key_bound) << "locality";
+    fleet.reads = 0;
+    power.Route(membership, context);
+    EXPECT_LE(fleet.reads, 3) << "power-of-d, keyed";
+    fleet.reads = 0;
+    power.Route(membership, cluster::RouteContext{});
+    EXPECT_LE(fleet.reads, 3) << "power-of-d";
+    fleet.reads = 0;
+    jsq.Route(membership, context);
+    EXPECT_EQ(fleet.reads, static_cast<int>(live)) << "join-shortest-queue";
+    fleet.reads = 0;
+    threshold.Route(membership, context);
+    EXPECT_EQ(fleet.reads, static_cast<int>(live)) << "threshold";
+  }
+  // The loads put homes over n* often enough that the spill path (the one
+  // that reads replicas) was exercised too.
+  EXPECT_GT(spills, 20);
 }
 
 // ------------------------------------------------- catalog subscription --

@@ -11,6 +11,7 @@
 #include "core/spec.h"
 #include "db/system.h"
 #include "placement/catalog.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace alc {
@@ -120,6 +121,55 @@ TEST(PlacementCatalogTest, MostTouchedTieGoesToLowestPartition) {
       Config(placement::PlacementKind::kRange, 4, 1), 4, 400);
   EXPECT_EQ(catalog.MostTouchedPartition({350, 150, 310, 110}), 1);
   EXPECT_EQ(catalog.MostTouchedPartition({}), -1);
+}
+
+TEST(PlacementCatalogTest, TouchCountsMatchAReferenceHistogram) {
+  // Random partition-id lists (k = 1 to 12, drawn from a narrow id range so
+  // duplicates and count ties are common) against a num_partitions-wide
+  // reference count.
+  sim::RandomStream rng(2024);
+  for (const int partitions : {1, 3, 16, 256}) {
+    placement::PlacementCatalog catalog(
+        Config(placement::PlacementKind::kRange, partitions, 1), 4, 4096);
+    for (int trial = 0; trial < 500; ++trial) {
+      const int k = 1 + static_cast<int>(rng.NextUint64(12));
+      const int span =
+          1 + static_cast<int>(rng.NextUint64(trial % 2 == 0 ? 4 : 256));
+      const int base = static_cast<int>(rng.NextUint64(partitions));
+      std::vector<int> ids;
+      for (int i = 0; i < k; ++i) {
+        ids.push_back((base + static_cast<int>(rng.NextUint64(span))) %
+                      partitions);
+      }
+
+      std::vector<int> histogram(static_cast<size_t>(partitions), 0);
+      for (const int id : ids) ++histogram[static_cast<size_t>(id)];
+      std::vector<std::pair<int, int>> expected;
+      int plurality = -1;
+      for (int p = 0; p < partitions; ++p) {
+        const int count = histogram[static_cast<size_t>(p)];
+        if (count == 0) continue;
+        expected.emplace_back(p, count);
+        if (plurality < 0 ||
+            count > histogram[static_cast<size_t>(plurality)]) {
+          plurality = p;
+        }
+      }
+      std::stable_sort(expected.begin(), expected.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.second > b.second;
+                       });
+
+      std::vector<std::pair<int, int>> touches = {{-7, -7}};  // stale
+      catalog.CountPartitionTouches(ids, &touches);
+      EXPECT_EQ(touches, expected) << "partitions " << partitions;
+      EXPECT_EQ(catalog.PluralityPartition(ids), plurality);
+    }
+    std::vector<std::pair<int, int>> touches = {{0, 1}};
+    catalog.CountPartitionTouches({}, &touches);
+    EXPECT_TRUE(touches.empty());
+    EXPECT_EQ(catalog.PluralityPartition({}), -1);
+  }
 }
 
 TEST(PlacementCatalogTest, RebalanceMovesHottestToLeastLoaded) {

@@ -180,6 +180,30 @@ TEST(LogHistogramTest, SubtractYieldsIntervalHistogram) {
   EXPECT_DOUBLE_EQ(interval.Quantile(0.5), interval_only.Quantile(0.5));
 }
 
+TEST(LogHistogramTest, MergingOrSubtractingAnEmptyHistogramChangesNothing) {
+  sim::RandomStream rng(11);
+  LogHistogram hist;
+  hist.Add(0.0);   // underflow
+  hist.Add(1e15);  // overflow
+  for (int i = 0; i < 500; ++i) hist.Add(rng.NextExponential(0.1));
+  const LogHistogram before = hist;
+  const LogHistogram empty;
+  hist.Merge(empty);
+  hist.Subtract(empty);
+  EXPECT_EQ(hist.buckets(), before.buckets());
+  EXPECT_EQ(hist.underflow(), before.underflow());
+  EXPECT_EQ(hist.overflow(), before.overflow());
+  EXPECT_EQ(hist.count(), before.count());
+  EXPECT_EQ(hist.sum(), before.sum());  // exact, not merely close
+
+  // An empty histogram is also a no-op source for an empty target.
+  LogHistogram target;
+  target.Merge(empty);
+  target.Subtract(empty);
+  EXPECT_EQ(target.count(), 0u);
+  EXPECT_EQ(target.sum(), 0.0);
+}
+
 TEST(LogHistogramTest, ClearResets) {
   LogHistogram hist;
   hist.Add(0.5);
@@ -330,6 +354,17 @@ TEST(MetricRegistryTest, OwnedAndLinkedMetricsSnapshotSortedByName) {
   // Snapshots read live values: mutations after linking are visible.
   external_counter = 8;
   EXPECT_DOUBLE_EQ(registry.Snapshot()[1].value, 8.0);
+}
+
+TEST(MetricRegistryDeathTest, DuplicateNameAbortsAtSnapshot) {
+  telemetry::MetricRegistry registry;
+  registry.Counter("node0.commits");
+  uint64_t linked = 0;
+  registry.LinkCounter("cluster.routed", &linked);
+  // Registration stays O(1): the duplicate is caught where the sorted
+  // snapshot puts it next to its twin.
+  registry.Gauge("node0.commits");
+  EXPECT_DEATH(registry.Snapshot(), "metric 'node0.commits' registered twice");
 }
 
 TEST(MetricRegistryTest, JsonSnapshotIsStructurallySound) {
