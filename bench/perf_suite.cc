@@ -1,11 +1,12 @@
 // perf_suite — the tracked performance rail. Times the hot paths that bound
 // simulation speed (event queue push/pop, schedule/cancel churn, access-set
-// sampling), one end-to-end paper-default simulation, and one real spec run
-// (specs/node_failover.spec), and emits machine-readable BENCH_perf.json so
-// speedups are pinned by numbers, not asserted. A global counting-allocator
-// hook reports allocations per item: the event engine is supposed to run
-// allocation-free at steady state, and --check turns that property into a
-// hard failure so pessimizations fail loudly in CI.
+// sampling), end-to-end paper-default simulations (OCC, and 2PL at 100
+// terminals), and one real spec run (specs/node_failover.spec), and emits
+// machine-readable BENCH_perf.json so speedups are pinned by numbers, not
+// asserted. A global counting-allocator hook reports allocations per item:
+// the event engine is supposed to run allocation-free at steady state, and
+// --check turns that property into a hard failure so pessimizations fail
+// loudly in CI.
 //
 //   $ ./build/bench/perf_suite --out BENCH_perf.json          # full run
 //   $ ./build/bench/perf_suite --smoke --check                # CI smoke
@@ -189,22 +190,27 @@ SuiteResult BenchLogHistogramAdd(double target_sec) {
   return Finish("log_histogram_add", start, items, allocs_before);
 }
 
-/// End-to-end paper-default closed system; items = simulated events over
-/// the measured span (after a warmup that settles pools and trackers).
-/// `per_phase` toggles the phase histograms and `trace` optionally attaches
-/// a recorder, so the emitted JSON pins the telemetry overhead (histograms
-/// on vs off, trace on vs off) as first-class numbers.
-SuiteResult BenchEndToEndVariant(const char* name, double sim_span,
-                                 bool per_phase,
-                                 telemetry::TraceRecorder* trace) {
-  sim::Simulator simulator;
-  db::SystemConfig config;  // paper defaults
+/// The paper-default closed system with the end-to-end rows' seed.
+db::SystemConfig PaperDefaults(bool per_phase) {
+  db::SystemConfig config;
   config.seed = 5;
   config.telemetry.per_phase = per_phase;
+  return config;
+}
+
+/// End-to-end closed system; items = simulated events over the measured
+/// span (after a warmup that settles pools and trackers). Variants of the
+/// paper default toggle the phase histograms (`per_phase`) or attach a
+/// trace recorder, so the emitted JSON pins the telemetry overhead
+/// (histograms on vs off, trace on vs off) as first-class numbers.
+SuiteResult BenchEndToEndVariant(const char* name, double sim_span,
+                                 const db::SystemConfig& config,
+                                 telemetry::TraceRecorder* trace) {
+  sim::Simulator simulator;
   db::TransactionSystem system(&simulator, config);
   if (trace != nullptr) system.SetTraceRecorder(trace, 0);
   system.Start();
-  // Warmup must cover a few think+execute cycles of all 850 terminals
+  // Warmup must cover a few think+execute cycles of all terminals
   // (think times are several sim-seconds), or the measured window still
   // contains first-touch growth of per-terminal buffers.
   constexpr double kWarmup = 30.0;
@@ -219,7 +225,7 @@ SuiteResult BenchEndToEndVariant(const char* name, double sim_span,
 
 SuiteResult BenchEndToEnd(double sim_span) {
   return BenchEndToEndVariant("end_to_end_paper_default", sim_span,
-                              /*per_phase=*/true, nullptr);
+                              PaperDefaults(/*per_phase=*/true), nullptr);
 }
 
 /// The hybrid session source against a stub host that completes every
@@ -332,7 +338,14 @@ std::string ToJson(const std::vector<SuiteResult>& results, bool smoke) {
       "end_to_end_paper_default +5%, spec_node_failover +11%, "
       "others within noise; allocation counts identical (0 where pinned)\",\n"
       "    \"session_source_hybrid pins the SessionWorkload hybrid source "
-      "at 0 allocs/request in steady state (pooled session slots)\"\n"
+      "at 0 allocs/request in steady state (pooled session slots)\",\n"
+      "    \"radix-heap event queue vs the 4-ary heap it replaced (same "
+      "4-core VM, medians of 3 alternating full runs): event_queue_push_pop "
+      "22.3M -> 26.9M items/s, event_queue_cancel 21.7M -> 24.8M items/s; "
+      "allocation counts identical (0)\",\n"
+      "    \"end_to_end_2pl runs 100 terminals: with no gate the paper's 850 "
+      "stall 2PL (about 830 lock-blocked), so it pins the lock manager at 0 "
+      "allocs/event below that\"\n"
       "  ],\n";
   json += "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
@@ -397,11 +410,27 @@ int main(int argc, char** argv) {
   // disabled and with a trace recorder attached, so a regression in either
   // direction (telemetry cost, or disabled-path cost) is pinned by numbers.
   results.push_back(BenchEndToEndVariant("end_to_end_telemetry_off", sim_span,
-                                         /*per_phase=*/false, nullptr));
+                                         PaperDefaults(/*per_phase=*/false),
+                                         nullptr));
   {
     telemetry::TraceRecorder trace;
-    results.push_back(BenchEndToEndVariant("end_to_end_trace", sim_span,
-                                           /*per_phase=*/true, &trace));
+    results.push_back(BenchEndToEndVariant(
+        "end_to_end_trace", sim_span, PaperDefaults(/*per_phase=*/true),
+        &trace));
+  }
+  {
+    // The same system under strict 2PL, at 100 terminals. With no gate,
+    // the paper's 850 stall 2PL: ~830 transactions sit lock-blocked from
+    // 10 s on and the run crawls at ~700 events/s (see the 2PL deadlock
+    // item in ROADMAP.md), so the window would time a stall. 100 terminals
+    // run at ~2.3k events/s with about one blocked. Lock records are pooled
+    // and held-lock lists keep their capacity, so the lock manager runs
+    // allocation-free there.
+    db::SystemConfig config = PaperDefaults(/*per_phase=*/true);
+    config.cc = db::CcScheme::kTwoPhaseLocking;
+    config.physical.num_terminals = 100;
+    results.push_back(
+        BenchEndToEndVariant("end_to_end_2pl", sim_span, config, nullptr));
   }
   results.push_back(BenchSessionSource(smoke ? 20.0 : 120.0));
   results.push_back(BenchSpecNodeFailover(specs_dir));
@@ -446,12 +475,13 @@ int main(int argc, char** argv) {
       // block and every drain/refill cycle churned queue blocks).
       // The session source is pinned at exactly zero too: session state is
       // pooled and the warmup covers the pool's high-water mark, so any
-      // steady-state allocation is a regression in the source itself.
+      // steady-state allocation is a regression in the source itself. So is
+      // the 2PL run: lock records and held-lock lists keep their capacity.
       const double limit =
           (r.name == "event_queue_push_pop" || r.name == "event_queue_cancel" ||
            r.name == "sample_without_replacement_k32" ||
            r.name == "session_source_hybrid" ||
-           r.name == "log_histogram_add")
+           r.name == "log_histogram_add" || r.name == "end_to_end_2pl")
               ? 0.0
               : (r.name == "end_to_end_paper_default" ||
                          r.name == "end_to_end_telemetry_off" ||

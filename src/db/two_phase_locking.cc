@@ -6,11 +6,45 @@
 #include "util/check.h"
 
 namespace alc::db {
+namespace {
+
+constexpr size_t kRecordCapacity = 4;
+
+}  // namespace
 
 LockManager::LockManager(Database* db, Metrics* metrics, sim::Simulator* sim)
-    : db_(db), metrics_(metrics), sim_(sim), locks_(db->size()) {
+    : db_(db), metrics_(metrics), sim_(sim), lock_of_(db->size(), kNoLock) {
   ALC_CHECK(metrics != nullptr);
   ALC_CHECK(sim != nullptr);
+}
+
+LockManager::ItemLock* LockManager::Find(ItemId item) {
+  const uint32_t index = lock_of_[item];
+  return index == kNoLock ? nullptr : &lock_pool_[index];
+}
+
+const LockManager::ItemLock* LockManager::Find(ItemId item) const {
+  const uint32_t index = lock_of_[item];
+  return index == kNoLock ? nullptr : &lock_pool_[index];
+}
+
+LockManager::ItemLock& LockManager::Acquire(ItemId item) {
+  uint32_t& index = lock_of_[item];
+  if (index == kNoLock) {
+    if (free_locks_.empty()) {
+      index = static_cast<uint32_t>(lock_pool_.size());
+      lock_pool_.emplace_back();
+      // Room for the common shapes up front, so a recycled record rarely
+      // has to grow when it meets its first reader group or waiter.
+      lock_pool_.back().holders.reserve(kRecordCapacity);
+      lock_pool_.back().waiters.reserve(kRecordCapacity);
+    } else {
+      index = free_locks_.back();
+      free_locks_.pop_back();
+    }
+    lock_pool_[index].item = item;
+  }
+  return lock_pool_[index];
 }
 
 void LockManager::SetAbortHook(AbortHook hook) { abort_hook_ = std::move(hook); }
@@ -30,8 +64,7 @@ bool LockManager::CanGrant(const ItemLock& lock, AccessMode mode) const {
 
 void LockManager::Grant(ItemLock* lock, Transaction* txn, AccessMode mode) {
   lock->holders.push_back(Holder{txn, mode});
-  txn->held_locks.push_back(
-      static_cast<ItemId>(lock - locks_.data()));
+  txn->held_locks.push_back(lock->item);
 }
 
 void LockManager::RequestAccess(Transaction* txn, int index,
@@ -39,7 +72,7 @@ void LockManager::RequestAccess(Transaction* txn, int index,
   ALC_CHECK(abort_hook_ != nullptr);
   const ItemId item = txn->access_items[index];
   const AccessMode mode = txn->access_modes[index];
-  ItemLock& lock = locks_[item];
+  ItemLock& lock = Acquire(item);
   ++metrics_->counters.lock_requests;
 
   if (CanGrant(lock, mode)) {
@@ -81,12 +114,13 @@ void LockManager::CancelWaiting(Transaction* txn) {
 
 void LockManager::RemoveWaiter(Transaction* txn) {
   ALC_CHECK_GE(txn->blocked_on, 0);
-  ItemLock& lock = locks_[static_cast<size_t>(txn->blocked_on)];
-  auto it = std::find_if(lock.waiters.begin(), lock.waiters.end(),
-                         [txn](const Waiter& w) { return w.txn == txn; });
-  ALC_CHECK(it != lock.waiters.end());
   const ItemId item = static_cast<ItemId>(txn->blocked_on);
-  lock.waiters.erase(it);
+  ItemLock* lock = Find(item);
+  ALC_CHECK(lock != nullptr);
+  auto it = std::find_if(lock->waiters.begin(), lock->waiters.end(),
+                         [txn](const Waiter& w) { return w.txn == txn; });
+  ALC_CHECK(it != lock->waiters.end());
+  lock->waiters.erase(it);
   txn->blocked_on = -1;
   txn->lock_wait += sim_->Now() - txn->block_start_time;
   --blocked_count_;
@@ -97,20 +131,25 @@ void LockManager::RemoveWaiter(Transaction* txn) {
 
 void LockManager::ReleaseAll(Transaction* txn) {
   for (ItemId item : txn->held_locks) {
-    ItemLock& lock = locks_[item];
-    auto it = std::find_if(lock.holders.begin(), lock.holders.end(),
+    ItemLock* lock = Find(item);
+    ALC_CHECK(lock != nullptr);
+    auto it = std::find_if(lock->holders.begin(), lock->holders.end(),
                            [txn](const Holder& h) { return h.txn == txn; });
-    ALC_CHECK(it != lock.holders.end());
-    lock.holders.erase(it);
+    ALC_CHECK(it != lock->holders.end());
+    lock->holders.erase(it);
   }
-  std::vector<ItemId> released;
-  released.swap(txn->held_locks);
+  // The grants below append to other transactions' held_locks; release
+  // from a copy so this one's list is empty (and keeps its capacity) first.
+  release_scratch_.assign(txn->held_locks.begin(), txn->held_locks.end());
+  txn->held_locks.clear();
   // Grant after all releases so multi-item cascades see the final state.
-  for (ItemId item : released) GrantWaiters(item);
+  for (ItemId item : release_scratch_) GrantWaiters(item);
 }
 
 void LockManager::GrantWaiters(ItemId item) {
-  ItemLock& lock = locks_[item];
+  ItemLock* found = Find(item);
+  if (found == nullptr) return;
+  ItemLock& lock = *found;
   while (!lock.waiters.empty()) {
     Waiter& head = lock.waiters.front();
     bool compatible = true;
@@ -120,7 +159,7 @@ void LockManager::GrantWaiters(ItemId item) {
         break;
       }
     }
-    if (!compatible) return;
+    if (!compatible) break;
     Transaction* txn = head.txn;
     sim::EventCell proceed = std::move(head.proceed);
     Grant(&lock, txn, head.mode);
@@ -133,12 +172,18 @@ void LockManager::GrantWaiters(ItemId item) {
     // Deferred so lock-table mutation never re-enters from the continuation.
     sim_->Schedule(0.0, std::move(proceed));
   }
+  if (lock.holders.empty() && lock.waiters.empty()) {
+    lock_of_[item] = kNoLock;
+    free_locks_.push_back(static_cast<uint32_t>(&lock - lock_pool_.data()));
+  }
 }
 
 void LockManager::AppendWaitsFor(Transaction* txn,
                                  std::vector<Transaction*>* out) const {
   if (txn->blocked_on < 0) return;
-  const ItemLock& lock = locks_[static_cast<size_t>(txn->blocked_on)];
+  const ItemLock* blocked_on = Find(static_cast<ItemId>(txn->blocked_on));
+  ALC_CHECK(blocked_on != nullptr);
+  const ItemLock& lock = *blocked_on;
   AccessMode mode = AccessMode::kRead;
   bool found = false;
   for (const Waiter& waiter : lock.waiters) {
@@ -225,11 +270,13 @@ bool LockManager::ResolveDeadlock(Transaction* start) {
 }
 
 int LockManager::NumHolders(ItemId item) const {
-  return static_cast<int>(locks_[item].holders.size());
+  const ItemLock* lock = Find(item);
+  return lock == nullptr ? 0 : static_cast<int>(lock->holders.size());
 }
 
 int LockManager::NumWaiters(ItemId item) const {
-  return static_cast<int>(locks_[item].waiters.size());
+  const ItemLock* lock = Find(item);
+  return lock == nullptr ? 0 : static_cast<int>(lock->waiters.size());
 }
 
 }  // namespace alc::db

@@ -42,9 +42,11 @@ class LockManager : public ConcurrencyControl {
   int num_blocked() const { return blocked_count_; }
   uint64_t deadlocks_detected() const { return deadlocks_detected_; }
 
-  /// Test introspection: holder/waiter counts for an item.
+  /// Test introspection: holder/waiter counts for an item, and the number
+  /// of pooled lock records (in use or free).
   int NumHolders(ItemId item) const;
   int NumWaiters(ItemId item) const;
+  size_t lock_records() const { return lock_pool_.size(); }
 
  private:
   struct Waiter {
@@ -56,23 +58,34 @@ class LockManager : public ConcurrencyControl {
     Transaction* txn;
     AccessMode mode;
   };
-  /// Rings, not deques: one ItemLock exists per database granule, and a
-  /// default-constructed deque eagerly allocates its block map — vectors
-  /// make an idle lock table allocation-free and FIFO churn on a hot item
-  /// reuses capacity.
+  /// The lock state of one item that has holders or waiters. Records are
+  /// pooled: an item with neither has none, and an emptied record goes back
+  /// to the pool with its vectors' capacity, so FIFO churn on hot items
+  /// reuses storage and building the lock table costs one index per item.
   struct ItemLock {
+    ItemId item = 0;
     std::vector<Holder> holders;
     util::RingBuffer<Waiter> waiters;
   };
+  static constexpr uint32_t kNoLock = ~uint32_t{0};
 
   static bool Compatible(AccessMode a, AccessMode b) {
     return a == AccessMode::kRead && b == AccessMode::kRead;
   }
 
+  /// The item's record, or nullptr if nobody holds or waits for it.
+  ItemLock* Find(ItemId item);
+  const ItemLock* Find(ItemId item) const;
+  /// The item's record, taken from the pool if it has none. May grow the
+  /// pool, which invalidates references to other records.
+  ItemLock& Acquire(ItemId item);
+
   bool CanGrant(const ItemLock& lock, AccessMode mode) const;
   void Grant(ItemLock* lock, Transaction* txn, AccessMode mode);
   /// Grants the head run of compatible waiters; proceeds are scheduled at
-  /// the current time (never synchronously) to avoid re-entrancy.
+  /// the current time (never synchronously) to avoid re-entrancy. Returns
+  /// the item's record to the pool if it is left with no holders and no
+  /// waiters — every path that empties a record ends here.
   void GrantWaiters(ItemId item);
   void ReleaseAll(Transaction* txn);
   void RemoveWaiter(Transaction* txn);
@@ -90,7 +103,13 @@ class LockManager : public ConcurrencyControl {
   Metrics* metrics_;
   sim::Simulator* sim_;
   AbortHook abort_hook_;
-  std::vector<ItemLock> locks_;
+  /// Per item: its record's index in lock_pool_, or kNoLock.
+  std::vector<uint32_t> lock_of_;
+  std::vector<ItemLock> lock_pool_;
+  std::vector<uint32_t> free_locks_;
+  /// ReleaseAll's copy of the released items, so the transaction's own
+  /// held_locks keeps its capacity for the next attempt.
+  std::vector<ItemId> release_scratch_;
   int blocked_count_ = 0;
   uint64_t deadlocks_detected_ = 0;
   uint64_t commit_seq_ = 0;

@@ -7,45 +7,166 @@
 namespace alc::sim {
 namespace {
 
-/// Below this heap size compaction is not worth the rebuild; lazy head
-/// dropping handles small queues fine.
+/// Below this many stored entries compaction is not worth the pass; lazy
+/// dropping in the ready run handles small queues fine.
 constexpr size_t kCompactMinEntries = 64;
 
-/// Pre-sized for the paper-scale system (a few hundred in-flight events);
-/// avoids every early regrowth of the hot vectors.
-constexpr size_t kInitialCapacity = 1024;
+/// Pre-sized for the paper-scale system (a few hundred in-flight events).
+/// A queue of at most 64 entries never grows its arena.
+constexpr size_t kInitialSlots = 1024;
+constexpr int kInitialStrideLog2 = 6;
+
+/// Index of the highest set bit; `bits` must be non-zero.
+int HighBit(uint64_t bits) { return 63 - __builtin_clzll(bits); }
+int LowBit(uint64_t bits) { return __builtin_ctzll(bits); }
 
 }  // namespace
 
-EventQueue::EventQueue() {
-  heap_.reserve(kInitialCapacity);
-  slots_.reserve(kInitialCapacity);
-  free_slots_.reserve(kInitialCapacity);
+EventQueue::EventQueue()
+    : arena_(new Entry[size_t{kSegments} << kInitialStrideLog2]),
+      stride_log2_(kInitialStrideLog2) {
+  slots_.reserve(kInitialSlots);
+  free_slots_.reserve(kInitialSlots);
 }
 
 void EventQueue::ReleaseSlot(uint32_t slot) {
   Slot& s = slots_[slot];
   s.cell.Reset();
   // Stamping the slot free is the cancellation/consumption: outstanding
-  // handles and the heap entry both carry the old sequence and now fail
+  // handles and the queue entry both carry the old sequence and now fail
   // the O(1) liveness check.
   s.live_seq = 0;
   free_slots_.push_back(slot);
 }
 
+void EventQueue::Grow() {
+  const int log2 = stride_log2_ + 1;
+  std::unique_ptr<Entry[]> arena(new Entry[size_t{kSegments} << log2]);
+  for (int k = 0; k < kReady; ++k) {
+    std::copy_n(Segment(k), size_[k],
+                arena.get() + (static_cast<size_t>(k) << log2));
+  }
+  Entry* const ready = Segment(kReady);
+  std::copy(ready + ready_head_, ready + size_[kReady],
+            arena.get() + (size_t{kReady} << log2));
+  size_[kReady] -= ready_head_;
+  ready_head_ = 0;
+  arena_ = std::move(arena);
+  stride_log2_ = log2;
+}
+
 EventHandle EventQueue::FinishPush(double time, uint32_t slot) {
-  // time >= 0 keeps the bit-pattern comparison valid (rejects NaN too);
-  // +0.0 canonicalizes a negative zero, whose bits would misorder.
+  // time >= 0 keeps the bit-pattern order valid (rejects NaN too); +0.0
+  // canonicalizes a negative zero, whose bits would misorder.
   ALC_CHECK_GE(time, 0.0);
   const uint64_t seq = next_seq_++;
   ALC_DCHECK(seq < uint64_t{1} << (64 - kSlotBits));
   ALC_DCHECK(slot <= kSlotMask);
   slots_[slot].live_seq = seq;
   const uint64_t key = (seq << kSlotBits) | slot;
-  heap_.push_back(Entry{TimeBits(time + 0.0), key});
-  SiftUp(heap_.size() - 1);
+  const Entry entry{TimeBits(time + 0.0), key};
+  // Every segment holds at most entry_count_ entries, so keeping the stride
+  // above it keeps every append in bounds.
+  const uint32_t stride = uint32_t{1} << stride_log2_;
+  if (entry_count_ == stride) Grow();
+  if (entry.tbits < base_) Rebase(entry.tbits);
+  if (entry.tbits == base_) {
+    // The newest sequence: appending keeps the ready run in key order. A
+    // full ready segment has a consumed prefix (its live part is below the
+    // stride); drop it first.
+    Entry* const ready = Segment(kReady);
+    if (size_[kReady] == stride) {
+      std::copy(ready + ready_head_, ready + size_[kReady], ready);
+      size_[kReady] -= ready_head_;
+      ready_head_ = 0;
+    }
+    ready[size_[kReady]++] = entry;
+  } else {
+    Append(HighBit(entry.tbits ^ base_), entry);
+  }
+  ++entry_count_;
   ++live_count_;
   return EventHandle{key};
+}
+
+void EventQueue::Rebase(uint64_t tbits) {
+  // Every stored entry is >= base_ > tbits. With h the highest bit in which
+  // base_ and tbits differ (set in base_), entries of buckets above h keep
+  // their bucket, and entries below h or in the ready run agree with base_
+  // at bit h, so they all move to bucket h — which is empty, because an
+  // entry there would have bit h clear and so precede base_.
+  const int h = HighBit(base_ ^ tbits);
+  ALC_DCHECK(size_[h] == 0);
+  const uint64_t below = (uint64_t{1} << h) - 1;
+  for (uint64_t left = occupied_ & below; left != 0; left &= left - 1) {
+    const int k = LowBit(left);
+    const Entry* const from = Segment(k);
+    for (uint32_t i = 0; i < size_[k]; ++i) Append(h, from[i]);
+    size_[k] = 0;
+  }
+  occupied_ &= ~below;
+  const Entry* const ready = Segment(kReady);
+  for (uint32_t i = ready_head_; i < size_[kReady]; ++i) Append(h, ready[i]);
+  size_[kReady] = 0;
+  ready_head_ = 0;
+  base_ = tbits;
+  ++rebases_;
+}
+
+void EventQueue::Redistribute() const {
+  ALC_DCHECK(occupied_ != 0);
+  const int lowest = LowBit(occupied_);
+  const Entry* const from = Segment(lowest);
+  const uint32_t count = size_[lowest];
+  uint64_t min = ~uint64_t{0};
+  for (uint32_t i = 0; i < count; ++i) min = std::min(min, from[i].tbits);
+  // Entries of the lowest bucket agree with the old base above their
+  // bucket bit and all have it set, so relative to their minimum each one
+  // lands strictly lower (never back in this segment).
+  base_ = min;
+  size_[lowest] = 0;
+  occupied_ &= occupied_ - 1;
+  Entry* const ready = Segment(kReady);
+  uint32_t ties = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    const Entry entry = from[i];
+    if (entry.tbits == min) {
+      ready[ties++] = entry;
+    } else {
+      Append(HighBit(entry.tbits ^ min), entry);
+    }
+  }
+  // Equal times share a segment and every move keeps segment order, so
+  // the ties arrive in key order (see the class comment).
+  ALC_DCHECK(std::is_sorted(
+      ready, ready + ties,
+      [](const Entry& a, const Entry& b) { return a.key < b.key; }));
+  size_[kReady] = ties;
+  ready_head_ = 0;
+}
+
+void EventQueue::Settle() const {
+  ALC_CHECK(live_count_ > 0);
+  for (;;) {
+    const Entry* const ready = Segment(kReady);
+    while (ready_head_ < size_[kReady]) {
+      if (!EntryDead(ready[ready_head_])) return;
+      ++ready_head_;
+      --entry_count_;
+    }
+    Redistribute();
+  }
+}
+
+void EventQueue::Clear() {
+  for (uint64_t left = occupied_; left != 0; left &= left - 1) {
+    size_[LowBit(left)] = 0;
+  }
+  occupied_ = 0;
+  size_[kReady] = 0;
+  ready_head_ = 0;
+  base_ = 0;
+  entry_count_ = 0;
 }
 
 bool EventQueue::Cancel(EventHandle handle) {
@@ -56,138 +177,53 @@ bool EventQueue::Cancel(EventHandle handle) {
   if (slot >= slots_.size()) return false;
   if (slots_[slot].live_seq != handle.gen()) return false;
   ReleaseSlot(slot);
-  --live_count_;
-  CompactIfWorthIt();
+  if (--live_count_ == 0) {
+    Clear();
+  } else {
+    CompactIfWorthIt();
+  }
   return true;
 }
 
-void EventQueue::SiftUp(size_t index) {
-  const Entry entry = heap_[index];
-  while (index > 0) {
-    const size_t parent = (index - 1) / 4;
-    if (!Earlier(entry, heap_[parent])) break;
-    heap_[index] = heap_[parent];
-    index = parent;
-  }
-  heap_[index] = entry;
-}
-
-void EventQueue::SiftDown(size_t index) const {
-  Entry* const data = heap_.data();
-  const size_t size = heap_.size();
-  const Entry entry = data[index];
-  for (;;) {
-    const size_t first = 4 * index + 1;
-    if (first >= size) break;
-    // Branch-free min-of-children: tracking only a pointer lets the
-    // ternaries compile to conditional moves (a tree reduction for the
-    // full-node case), so the only data-dependent branch left per level is
-    // the exit test. Event timestamps are effectively random, so a branchy
-    // min here mispredicts constantly and dominates pop cost.
-    const Entry* child = data + first;
-    const Entry* best;
-    if (first + 4 <= size) {
-      const Entry* b01 = Earlier(child[1], child[0]) ? child + 1 : child;
-      const Entry* b23 = Earlier(child[3], child[2]) ? child + 3 : child + 2;
-      best = Earlier(*b23, *b01) ? b23 : b01;
-    } else {
-      best = child;
-      const Entry* const end = data + size;
-      for (++child; child < end; ++child) {
-        best = Earlier(*child, *best) ? child : best;
-      }
-    }
-    if (!Earlier(*best, entry)) break;
-    data[index] = *best;
-    index = static_cast<size_t>(best - data);
-  }
-  data[index] = entry;
-}
-
-void EventQueue::RemoveRoot() const {
-  // Hole-based removal: dig the hole from the root to a leaf promoting the
-  // earliest child at each level (branch-free selection, no per-level exit
-  // test), then re-insert the former last element at the hole with a short
-  // sift-up. The relocated element was a leaf, so the sift-up almost always
-  // stops immediately — far fewer mispredicted branches than a classic
-  // sift-down, whose per-level exit test is a coin flip on random times.
-  Entry* const data = heap_.data();
-  const size_t size = heap_.size() - 1;  // size after removal
-  const Entry last = data[size];
-  heap_.pop_back();
-  if (size == 0) return;
-  size_t hole = 0;
-  for (;;) {
-    const size_t first = 4 * hole + 1;
-    if (first >= size) break;
-    const Entry* child = data + first;
-    const Entry* best;
-    if (first + 4 <= size) {
-      const Entry* b01 = Earlier(child[1], child[0]) ? child + 1 : child;
-      const Entry* b23 = Earlier(child[3], child[2]) ? child + 3 : child + 2;
-      best = Earlier(*b23, *b01) ? b23 : b01;
-    } else {
-      best = child;
-      const Entry* const end = data + size;
-      for (++child; child < end; ++child) {
-        best = Earlier(*child, *best) ? child : best;
-      }
-    }
-    data[hole] = *best;
-    hole = static_cast<size_t>(best - data);
-  }
-  while (hole > 0) {
-    const size_t parent = (hole - 1) / 4;
-    if (!Earlier(last, data[parent])) break;
-    data[hole] = data[parent];
-    hole = parent;
-  }
-  data[hole] = last;
-}
-
-void EventQueue::PruneDeadHead() const {
-  while (!heap_.empty() && EntryDead(heap_[0])) {
-    RemoveRoot();
-  }
-}
-
 void EventQueue::CompactIfWorthIt() {
-  if (heap_.size() < kCompactMinEntries) return;
-  const size_t dead = heap_.size() - live_count_;
-  if (dead * 2 <= heap_.size()) return;
-  // Tombstones outnumber live entries: filter them out in one pass and
-  // rebuild with Floyd's O(n) heap construction. The (time, key) order is
-  // total, so the rebuilt heap pops in exactly the same sequence.
-  size_t kept = 0;
-  for (size_t i = 0; i < heap_.size(); ++i) {
-    if (!EntryDead(heap_[i])) heap_[kept++] = heap_[i];
+  if (entry_count_ < kCompactMinEntries) return;
+  if ((entry_count_ - live_count_) * 2 <= entry_count_) return;
+  // Tombstones outnumber live entries: filter them out in one pass. The
+  // ready run keeps its (key) order; the order inside a bucket never
+  // matters, so the queue pops in exactly the same sequence.
+  const auto dead = [this](const Entry& entry) { return EntryDead(entry); };
+  Entry* const ready = Segment(kReady);
+  Entry* const kept =
+      std::remove_if(ready + ready_head_, ready + size_[kReady], dead);
+  if (ready_head_ > 0) std::copy(ready + ready_head_, kept, ready);
+  size_[kReady] = static_cast<uint32_t>(kept - ready) - ready_head_;
+  ready_head_ = 0;
+  for (uint64_t left = occupied_; left != 0; left &= left - 1) {
+    const int k = LowBit(left);
+    Entry* const bucket = Segment(k);
+    size_[k] = static_cast<uint32_t>(
+        std::remove_if(bucket, bucket + size_[k], dead) - bucket);
+    if (size_[k] == 0) occupied_ &= ~(uint64_t{1} << k);
   }
-  heap_.resize(kept);
-  if (kept > 1) {
-    for (size_t i = (kept - 2) / 4 + 1; i-- > 0;) SiftDown(i);
-  }
+  entry_count_ = live_count_;
   ++compactions_;
 }
 
 double EventQueue::PeekTime() const {
-  PruneDeadHead();
-  ALC_CHECK(!heap_.empty());
-  return BitsTime(heap_[0].tbits);
+  Settle();
+  return BitsTime(base_);
 }
 
 EventQueue::Fired EventQueue::Pop() {
-  PruneDeadHead();
-  ALC_CHECK(!heap_.empty());
-  const Entry top = heap_[0];
+  Settle();
+  const Entry top = Segment(kReady)[ready_head_++];
+  --entry_count_;
   const uint32_t slot = static_cast<uint32_t>(top.key & kSlotMask);
-  // Fix up the heap before touching the payload: the slot's cache lines
-  // load in the shadow of the hole dig.
-  RemoveRoot();
   // Move the payload out and free the slot before the caller invokes it:
   // the callable may push new events that reuse the slot or grow the table.
   Fired fired{BitsTime(top.tbits), std::move(slots_[slot].cell)};
   ReleaseSlot(slot);
-  --live_count_;
+  if (--live_count_ == 0) Clear();
   return fired;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -32,14 +33,38 @@ struct EventHandle {
 /// Time-ordered queue of callables. Events with equal timestamps fire in
 /// scheduling order (stable), which makes runs deterministic.
 ///
-/// Layout: the ordering structure is a 4-ary min-heap of 16-byte POD
-/// entries {time, seq|slot}; payloads live in a generation-stamped slot
-/// table on the side, so sifts move two words and never touch the
-/// callables. Cancellation stamps the slot free and destroys the payload
-/// immediately; the heap entry becomes a tombstone that is dropped lazily
-/// when it reaches the head, or in bulk when tombstones outnumber live
-/// entries (compaction). Push/cancel/pop are allocation-free at steady
-/// state: all storage is reused vectors plus the cells' inline buffers.
+/// Layout: a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan 1990) over the
+/// IEEE-754 bits of the event time. Entries are 16-byte PODs {time bits,
+/// seq|slot}; payloads live in a generation-stamped slot table on the side.
+/// The queue keeps a base, the time of the last popped event. Entries equal
+/// to the base sit in the ready run, in key (= scheduling) order; every other
+/// entry sits in bucket k, where k is the highest bit in which its time
+/// differs from the base. Every entry of bucket k precedes every entry of
+/// bucket k+1, so a push is one XOR and an append, and a pop that finds the
+/// ready run empty advances the base to the minimum of the lowest non-empty
+/// bucket and redistributes that bucket only: each of its entries moves to a
+/// strictly lower (so far empty) bucket, or into the ready run if it ties the
+/// new minimum. Entries of equal time always share a segment, and pushes
+/// append the newest key while every move, re-base and compaction keeps
+/// segment order, so equal times stay in key order without a sort. There are
+/// no comparisons between unrelated events and no data-dependent sift paths.
+///
+/// Monotone contract: simulated time never runs backwards, so pushes land at
+/// or after the base. A push before the base (at a RunUntil boundary, after
+/// PeekTime has advanced the base to an event past `until`) is still ordered
+/// exactly: it re-bases the queue by moving the buckets below the highest
+/// differing bit, and the ready run, into that bucket — no allocation. A
+/// drained queue resets its base to 0.
+///
+/// Storage: the 64 buckets and the ready run are fixed-stride segments of
+/// one arena, each as long as the most entries the queue has held, so no
+/// segment can overflow and the arena grows only with that high-water mark;
+/// pages a segment never reaches are never touched. Cancellation stamps the
+/// slot free and destroys the payload immediately; the entry becomes a
+/// tombstone that is dropped when it reaches the ready run, or in bulk when
+/// tombstones outnumber live entries (compaction). Push/cancel/pop are
+/// allocation-free at steady state: all storage is reused arrays plus the
+/// cells' inline buffers.
 class EventQueue {
  public:
   /// Storage cell for one scheduled event. 72 inline bytes: enough for an
@@ -61,16 +86,17 @@ class EventQueue {
   }
 
   /// Cancels the event if it has not fired: the payload is destroyed now,
-  /// the heap entry is tombstoned in place. Returns true if it was live.
+  /// the queue entry is tombstoned in place. Returns true if it was live.
   bool Cancel(EventHandle handle);
 
   /// True if no live events remain (tombstone-aware: cancelled events never
-  /// count, whether or not their heap entries have been dropped yet).
+  /// count, whether or not their entries have been dropped yet).
   bool empty() const { return live_count_ == 0; }
 
   size_t live_count() const { return live_count_; }
 
-  /// Time of the earliest live event. Requires !empty().
+  /// Time of the earliest live event. Requires !empty(). May advance the
+  /// base to that time (see the monotone contract above).
   double PeekTime() const;
 
   /// Removes and returns the earliest live event. Requires !empty().
@@ -81,24 +107,24 @@ class EventQueue {
   Fired Pop();
 
   /// Introspection for tests and benchmarks.
-  size_t heap_size() const { return heap_.size(); }
+  size_t entry_count() const { return entry_count_; }
   size_t slot_count() const { return slots_.size(); }
   uint64_t compactions() const { return compactions_; }
+  /// Pushes that landed before the base and re-based the queue.
+  uint64_t rebases() const { return rebases_; }
 
  private:
   /// Entry keys use EventHandle's seq/slot packing. Comparing keys
   /// compares sequences: seq is unique, so the (time, key) order is a
-  /// strict total order and the pop sequence is independent of the heap's
-  /// internal arrangement — compaction cannot reorder fires.
+  /// strict total order and the pop sequence is independent of how the
+  /// entries are spread over buckets — compaction cannot reorder fires.
   static constexpr int kSlotBits = EventHandle::kSlotBits;
   static constexpr uint32_t kSlotMask = EventHandle::kSlotMask;
 
   /// Event times are required to be >= 0 (virtual time), so their IEEE-754
   /// bit patterns order identically to the doubles themselves when compared
-  /// as unsigned integers. Storing the bits makes the heap order one
-  /// 128-bit unsigned comparison — branch-free, which matters because sift
-  /// comparisons on event timestamps are data-dependent and mispredict
-  /// heavily when compared as doubles-then-sequence.
+  /// as unsigned integers, and the highest differing bit of two patterns
+  /// names a radix bucket.
   struct Entry {
     uint64_t tbits;  // bit pattern of the (non-negative) event time
     uint64_t key;    // (seq << kSlotBits) | slot
@@ -110,6 +136,10 @@ class EventQueue {
     Cell cell;
   };
 
+  /// Segment index of the ready run; 0..63 are the buckets.
+  static constexpr int kReady = 64;
+  static constexpr int kSegments = 65;
+
   static uint64_t TimeBits(double time) {
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(time));
@@ -120,18 +150,6 @@ class EventQueue {
     double time;
     std::memcpy(&time, &bits, sizeof(time));
     return time;
-  }
-
-  static bool Earlier(const Entry& a, const Entry& b) {
-#ifdef __SIZEOF_INT128__
-    const auto pack = [](const Entry& e) {
-      return static_cast<unsigned __int128>(e.tbits) << 64 | e.key;
-    };
-    return pack(a) < pack(b);
-#else
-    if (a.tbits != b.tbits) return a.tbits < b.tbits;
-    return a.key < b.key;
-#endif
   }
 
   bool EntryDead(const Entry& entry) const {
@@ -147,29 +165,56 @@ class EventQueue {
     slots_.emplace_back();
     return static_cast<uint32_t>(slots_.size() - 1);
   }
-  /// Non-template tail of Push (heap insertion + handle construction); the
-  /// slot's cell must already hold the payload.
+  /// Non-template tail of Push (bucket insertion + handle construction);
+  /// the slot's cell must already hold the payload.
   EventHandle FinishPush(double time, uint32_t slot);
   void ReleaseSlot(uint32_t slot);
-  void SiftUp(size_t index);
-  /// const: reorders the mutable heap without changing the live set.
-  void SiftDown(size_t index) const;
-  /// Removes heap_[0] (hole dig + leaf re-insertion); const as above.
-  void RemoveRoot() const;
-  /// Drops tombstones from the heap head; const for the same reason (their
-  /// slots were already released when they were cancelled).
-  void PruneDeadHead() const;
+
+  /// The ordering structure's operations are const: they move entries
+  /// between segments and drop tombstones (whose slots were already
+  /// released), never changing the live set, so const PeekTime can use them.
+  Entry* Segment(int index) const {
+    return arena_.get() + (static_cast<size_t>(index) << stride_log2_);
+  }
+  void Append(int bucket, const Entry& entry) const {
+    Segment(bucket)[size_[bucket]++] = entry;
+    occupied_ |= uint64_t{1} << bucket;
+  }
+  /// Doubles the segment stride, keeping every segment's live entries.
+  void Grow();
+  /// Makes the head of the ready run the earliest live entry. Requires a
+  /// live entry.
+  void Settle() const;
+  /// Advances the base to the minimum of the lowest non-empty bucket and
+  /// redistributes that bucket below it.
+  void Redistribute() const;
+  /// Moves the base down to `tbits` (a push before the base).
+  void Rebase(uint64_t tbits);
+  /// Drops every entry (all tombstones) and resets the base to 0.
+  void Clear();
   void CompactIfWorthIt();
 
-  /// 4-ary min-heap by (time, key): shallower than binary for the same
-  /// size, and one cache line holds all 4 children of a node. mutable so
-  /// that const peeks can drop tombstones lazily.
-  mutable std::vector<Entry> heap_;
+  /// Radix structure, mutable so that const peeks can advance the base and
+  /// drop tombstones lazily. Segment k < 64 holds size_[k] entries whose
+  /// highest bit differing from base_ is k, and bit k of occupied_ is set iff
+  /// it is non-empty; the ready run is Segment(kReady)[ready_head_,
+  /// size_[kReady]), the entries equal to base_, in key order.
+  std::unique_ptr<Entry[]> arena_;
+  /// Entries per segment, a power of two >= entry_count_.
+  int stride_log2_;
+  mutable uint32_t size_[kSegments] = {};
+  mutable uint32_t ready_head_ = 0;
+  mutable uint64_t occupied_ = 0;
+  mutable uint64_t base_ = 0;
+  /// Stored entries (live + tombstones), excluding the consumed ready run.
+  mutable size_t entry_count_ = 0;
+
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   uint64_t next_seq_ = 1;
   size_t live_count_ = 0;
   uint64_t compactions_ = 0;
+  uint64_t rebases_ = 0;
 };
 
 }  // namespace alc::sim

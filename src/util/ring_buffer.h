@@ -31,6 +31,8 @@ class RingBuffer {
 
   void push_back(T value) { items_.push_back(std::move(value)); }
 
+  void reserve(size_t capacity) { items_.reserve(capacity); }
+
   void pop_back() {
     items_.pop_back();
     if (head_ == items_.size()) {

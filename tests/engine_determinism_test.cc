@@ -1,11 +1,15 @@
 // Pins the CSV artifacts of specs/node_failover.spec to the bytes produced
 // before the event-engine rewrite (typed POD event cells + generation-
-// stamped cancellation + 4-ary heap, PR 5). The engine swap must change no
-// simulation results: same RNG draws, same event order (equal-time FIFO),
-// same CSV bytes. The pinned hashes were captured from the pre-refactor
-// engine (sha256 of the alc_run exports was verified identical); if this
-// test fails, the event engine reordered or perturbed the simulation. The
-// single-node paper model's trajectories are pinned the same way.
+// stamped cancellation + 4-ary heap). An engine swap must change no
+// simulation results: same RNG draws, same event order by (time,
+// scheduling sequence) with equal-time FIFO, same CSV bytes. That held for
+// the rewrite and holds for the radix heap that later replaced the 4-ary heap
+// (buckets keyed on the time's bits; pushes never precede the last popped
+// time, and one that precedes a peeked event re-bases the queue). The
+// pinned hashes were captured from the pre-refactor engine (sha256 of the
+// alc_run exports was verified identical); if this test fails, the event
+// engine reordered or perturbed the simulation. The single-node paper
+// model's trajectories are pinned the same way.
 
 #include <cstdint>
 #include <sstream>

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -99,13 +100,13 @@ TEST(EventQueueTest, PeekTimeMatchesPop) {
 
 TEST(EventQueueTest, PeekAndEmptyAreConstAndTombstoneAware) {
   // Regression for the pre-refactor interface: PeekTime was non-const, and
-  // peek/empty had to be usable with tombstones sitting at the heap head.
+  // peek/empty had to be usable with tombstones sitting at the queue head.
   EventQueue queue;
   const EventQueue& view = queue;
   EventHandle head = queue.Push(1.0, [] {});
   queue.Push(2.0, [] {});
   ASSERT_TRUE(queue.Cancel(head));
-  // The cancelled event is still in the heap, but a const peek must see
+  // The cancelled event is still queued, but a const peek must see
   // through it to the first live event.
   EXPECT_FALSE(view.empty());
   EXPECT_EQ(view.live_count(), 1u);
@@ -222,9 +223,10 @@ TEST(EventQueueTest, CompactionDropsTombstonesAndPreservesOrder) {
   }
   EXPECT_GE(queue.compactions(), 1u);
   // Compaction keeps the invariant: tombstones never make up more than half
-  // of the heap (cancels after the last compaction may leave a minority).
-  EXPECT_LT(queue.heap_size(), static_cast<size_t>(kEvents));
-  EXPECT_LE((queue.heap_size() - queue.live_count()) * 2, queue.heap_size());
+  // of the stored entries (cancels after the last compaction may leave a minority).
+  EXPECT_LT(queue.entry_count(), static_cast<size_t>(kEvents));
+  EXPECT_LE((queue.entry_count() - queue.live_count()) * 2,
+            queue.entry_count());
   for (int t = 0; t < 7; ++t) {
     for (int i = 0; i < kEvents; ++i) {
       if (i % 3 == 0 && i % 7 == t) expected.push_back(i);
@@ -304,6 +306,172 @@ TEST(EventQueueTest, StressInterleavedPushCancelPopMatchesModel) {
   EXPECT_EQ(fired, expected);
 }
 
+TEST(EventQueueTest, MonotoneQuantisedStressMatchesModel) {
+  // Reference-model check in the simulator's regime: pushes never precede
+  // the last popped time, times sit on a coarse grid (heavy ties), many
+  // pushes land exactly at the last popped time, and the queue drains now
+  // and then, after which the clock may restart from 0. Phases alternate
+  // between growing and shrinking so the queue also reaches hundreds of
+  // entries.
+  struct ModelEvent {
+    double time;
+    uint64_t seq;
+    int id;
+  };
+  const auto earlier = [](const ModelEvent& a, const ModelEvent& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  };
+  RandomStream rng(2024);
+  EventQueue queue;
+  std::vector<ModelEvent> model;
+  std::vector<std::pair<int, EventHandle>> cancellable;
+  std::vector<int> fired;
+  std::vector<int> expected;
+  uint64_t seq = 0;
+  int next_id = 0;
+  int drains = 0;
+  double now = 0.0;
+  const auto pop_one = [&] {
+    auto it = std::min_element(model.begin(), model.end(), earlier);
+    ASSERT_NE(it, model.end());
+    EXPECT_EQ(queue.PeekTime(), it->time);
+    const int id = it->id;
+    now = it->time;
+    expected.push_back(id);
+    model.erase(it);
+    const auto popped =
+        std::find_if(cancellable.begin(), cancellable.end(),
+                     [id](const auto& c) { return c.first == id; });
+    if (popped != cancellable.end()) cancellable.erase(popped);
+    EventQueue::Fired event = queue.Pop();
+    EXPECT_EQ(event.time, now);
+    event.cell();
+  };
+  for (int step = 0; step < 30000; ++step) {
+    const double p = rng.NextDouble();
+    const double push = (step / 1500) % 2 == 0 ? 0.6 : 0.4;
+    if (p < push) {
+      // Same time as the last pop a quarter of the time, else a few grid
+      // steps (of 1/8) ahead of it.
+      const double time =
+          rng.NextDouble() < 0.25
+              ? now
+              : now + 0.125 * static_cast<double>(rng.NextUint64(12));
+      const int id = next_id++;
+      cancellable.emplace_back(
+          id, queue.Push(time, [&fired, id] { fired.push_back(id); }));
+      model.push_back(ModelEvent{time, seq++, id});
+    } else if (p < push + 0.1 && !cancellable.empty()) {
+      const size_t pick = rng.NextUint64(cancellable.size());
+      const auto [id, handle] = cancellable[pick];
+      cancellable.erase(cancellable.begin() + static_cast<long>(pick));
+      ASSERT_TRUE(queue.Cancel(handle));
+      model.erase(std::find_if(model.begin(), model.end(),
+                               [id](const ModelEvent& e) {
+                                 return e.id == id;
+                               }));
+    } else if (p < 0.999) {
+      if (!queue.empty()) pop_one();
+    } else {
+      while (!queue.empty()) pop_one();
+      ++drains;
+      if (rng.NextDouble() < 0.5) now = 0.0;
+    }
+    ASSERT_EQ(queue.live_count(), model.size());
+  }
+  while (!queue.empty()) pop_one();
+  EXPECT_TRUE(model.empty());
+  EXPECT_GT(drains, 10);
+  EXPECT_EQ(fired, expected);
+}
+
+TEST(EventQueueTest, PushBeforeAPeekedEventFiresFirst) {
+  // A peek may advance the queue to the next event; a later push between
+  // the last pop and that event must still come out first.
+  EventQueue queue;
+  std::vector<int> order;
+  queue.Push(1.0, [&] { order.push_back(1); });
+  queue.Push(10.0, [&] { order.push_back(10); });
+  queue.Push(10.0, [&] { order.push_back(11); });
+  queue.Pop().cell();
+  EXPECT_DOUBLE_EQ(queue.PeekTime(), 10.0);
+  queue.Push(5.0, [&] { order.push_back(5); });
+  queue.Push(1.0, [&] { order.push_back(2); });
+  queue.Push(10.0, [&] { order.push_back(12); });
+  EXPECT_DOUBLE_EQ(queue.PeekTime(), 1.0);
+  while (!queue.empty()) queue.Pop().cell();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 5, 10, 11, 12}));
+}
+
+TEST(EventQueueTest, EqualTimesRedistributedTogetherKeepScheduleOrder) {
+  // Ties at 6.0 are scheduled at different points of the run, between
+  // pops that move the queue's position, so they travel through several
+  // regroupings before they are the earliest; they must still fire in
+  // scheduling order, before a time one ulp later and after one ulp
+  // earlier.
+  EventQueue queue;
+  std::vector<int> order;
+  const double tie = 6.0;
+  const double before = std::nextafter(tie, 0.0);
+  const double after = std::nextafter(tie, 100.0);
+  queue.Push(tie, [&] { order.push_back(0); });
+  queue.Push(after, [&] { order.push_back(100); });
+  queue.Push(1.0, [&] { order.push_back(-1); });
+  queue.Push(tie, [&] { order.push_back(1); });
+  queue.Push(3.0, [&] { order.push_back(-2); });
+  queue.Pop().cell();  // 1.0
+  queue.Push(tie, [&] { order.push_back(2); });
+  queue.Push(5.5, [&] { order.push_back(-3); });
+  queue.Pop().cell();  // 3.0
+  queue.Push(before, [&] { order.push_back(-4); });
+  queue.Push(tie, [&] { order.push_back(3); });
+  queue.Pop().cell();  // 5.5
+  queue.Push(tie, [&] { order.push_back(4); });
+  while (!queue.empty()) queue.Pop().cell();
+  EXPECT_EQ(order, (std::vector<int>{-1, -2, -3, -4, 0, 1, 2, 3, 4, 100}));
+}
+
+TEST(EventQueueTest, DrainedQueueAcceptsEarlierTimes) {
+  // Once drained, the queue starts over: a refill may begin before the
+  // last popped time (the perf suite's drain-then-refill rows rely on it),
+  // by pop or by cancellation of the last live event.
+  EventQueue queue;
+  std::vector<int> order;
+  queue.Push(50.0, [&] { order.push_back(50); });
+  queue.Push(70.0, [&] { order.push_back(70); });
+  queue.Pop().cell();
+  queue.Pop().cell();
+  ASSERT_TRUE(queue.empty());
+  queue.Push(3.0, [&] { order.push_back(3); });
+  queue.Push(0.0, [&] { order.push_back(0); });
+  EventHandle last = queue.Push(40.0, [&] { order.push_back(40); });
+  queue.Pop().cell();
+  queue.Pop().cell();
+  ASSERT_TRUE(queue.Cancel(last));
+  ASSERT_TRUE(queue.empty());
+  queue.Push(2.0, [&] { order.push_back(2); });
+  queue.Push(1.0, [&] { order.push_back(1); });
+  while (!queue.empty()) queue.Pop().cell();
+  EXPECT_EQ(order, (std::vector<int>{50, 70, 0, 3, 1, 2}));
+}
+
+TEST(EventQueueTest, OnlyPushesBeforeTheBaseRebase) {
+  // A drained queue restarts its base at 0, so a refill at earlier times
+  // costs no re-base; a push before a peeked (not yet popped) event does.
+  EventQueue queue;
+  queue.Push(50.0, [] {});
+  queue.Pop();
+  queue.Push(3.0, [] {});
+  queue.Push(60.0, [] {});
+  EXPECT_EQ(queue.rebases(), 0u);
+  queue.Pop();
+  EXPECT_DOUBLE_EQ(queue.PeekTime(), 60.0);
+  queue.Push(4.0, [] {});
+  EXPECT_EQ(queue.rebases(), 1u);
+  EXPECT_DOUBLE_EQ(queue.Pop().time, 4.0);
+}
+
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
   Simulator sim;
   double seen = -1.0;
@@ -350,6 +518,27 @@ TEST(SimulatorTest, RunUntilStopsAtBoundary) {
   sim.RunUntil(10.0);
   EXPECT_EQ(fired, 4);
   EXPECT_DOUBLE_EQ(sim.Now(), 10.0);
+}
+
+TEST(SimulatorTest, ScheduleAtBoundaryBeforePeekedEvent) {
+  // RunUntil peeks at the 10.0 event and stops at 4.0; events then
+  // scheduled at the boundary or between it and the peeked event must run
+  // first, ties in scheduling order.
+  Simulator sim;
+  std::vector<int> order;
+  sim.ScheduleAt(1.0, [&] { order.push_back(1); });
+  sim.ScheduleAt(10.0, [&] { order.push_back(10); });
+  sim.RunUntil(4.0);
+  sim.ScheduleAt(4.0, [&] { order.push_back(4); });
+  sim.Schedule(0.0, [&] { order.push_back(5); });
+  sim.ScheduleAt(7.0, [&] {
+    order.push_back(7);
+    sim.Schedule(0.0, [&] { order.push_back(8); });
+  });
+  sim.ScheduleAt(10.0, [&] { order.push_back(11); });
+  sim.RunUntil(20.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 4, 5, 7, 8, 10, 11}));
+  EXPECT_DOUBLE_EQ(sim.Now(), 20.0);
 }
 
 TEST(SimulatorTest, EventAtBoundaryIncluded) {

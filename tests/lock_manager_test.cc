@@ -296,5 +296,40 @@ TEST_F(LockManagerTest, AbortReleasesLocks) {
   EXPECT_TRUE(gb);
 }
 
+TEST_F(LockManagerTest, LockRecordsAreRecycledAndHeldListsKeepCapacity) {
+  // Records exist only while an item has holders or waiters; a released
+  // one is reused for the next item, and a transaction's held-lock list is
+  // emptied without giving up its storage.
+  Transaction a = MakeTxn(1), b = MakeTxn(2);
+  for (int round = 0; round < 20; ++round) {
+    const ItemId first = static_cast<ItemId>(round % 10);
+    Plan(&a, {first, static_cast<ItemId>(first + 10),
+              static_cast<ItemId>(first + 20)},
+         {AccessMode::kWrite, AccessMode::kRead, AccessMode::kWrite});
+    Plan(&b, {first}, {AccessMode::kRead});
+    bool granted[3] = {false, false, false};
+    bool b_granted = false;
+    for (int i = 0; i < 3; ++i) Request(&a, i, &granted[i]);
+    Request(&b, 0, &b_granted);
+    EXPECT_FALSE(b_granted);
+    EXPECT_EQ(lm_.NumWaiters(first), 1);
+    lm_.OnCommit(&a);
+    EXPECT_TRUE(a.held_locks.empty());
+    EXPECT_GE(a.held_locks.capacity(), 3u);
+    sim_.RunAll();
+    EXPECT_TRUE(b_granted);
+    EXPECT_EQ(lm_.NumHolders(first), 1);
+    lm_.OnCommit(&b);
+    a.state = TxnState::kRunning;
+    b.state = TxnState::kRunning;
+    for (int item = 0; item < 50; ++item) {
+      EXPECT_EQ(lm_.NumHolders(static_cast<ItemId>(item)), 0);
+      EXPECT_EQ(lm_.NumWaiters(static_cast<ItemId>(item)), 0);
+    }
+  }
+  // At most three items were ever locked at once.
+  EXPECT_LE(lm_.lock_records(), 3u);
+}
+
 }  // namespace
 }  // namespace alc::db
